@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-live lint lint-deprecated cover bench-gate ab chaos xproc overload
+.PHONY: build test race vet bench bench-live lint cover bench-gate ab chaos xproc overload
 
 build:
 	$(GO) build ./...
@@ -37,20 +37,6 @@ bench-live:
 # on PATH; CI installs it via golangci/golangci-lint-action.
 lint:
 	golangci-lint run ./...
-
-# The repo's own code must not use the deprecated single-knob tuning
-# options (WithMaxSpin/WithThrottle/WithSleepScale) — they exist for
-# downstream compatibility only; in-repo callers take WithTuning or
-# WithAdaptive. The definitions (internal/livebind/system.go) and the
-# facade aliases (ulipc.go) are the only legitimate mentions.
-lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' -E 'WithMaxSpin\(|WithThrottle\(|WithSleepScale\(' . \
-		| grep -v -E '^\./(internal/livebind/system\.go|ulipc\.go):' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated tuning options used in-repo (use WithTuning/WithAdaptive):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@echo lint-deprecated: clean
 
 # Statement coverage over the library packages, gated on the committed
 # floor (.github/coverage-floor) exactly as the CI coverage job does.

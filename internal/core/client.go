@@ -66,26 +66,6 @@ type Client struct {
 	disconnected bool
 }
 
-func (c *Client) maxSpin() int {
-	if c.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return c.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the reply queue: BSLS's
-// fixed budget, or BSA's controller-tuned budget with feedback.
-func (c *Client) spinRcv() {
-	if c.Alg == BSA {
-		if c.Tuner == nil {
-			c.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(c.Rcv, c.A, c.Tuner, c.M, c.Obs)
-		return
-	}
-	spinPollObs(c.Rcv, c.A, c.maxSpin(), c.M, c.Obs)
-}
-
 // Lag reports how many replies are still owed for cancelled sends
 // (diagnostics and tests).
 func (c *Client) Lag() int { return c.lag }
@@ -281,7 +261,7 @@ func (c *Client) sendBSLS(m Msg) Msg {
 		return ShutdownMsg()
 	}
 	wakeConsumer(c.Srv, c.A)
-	c.spinRcv()
+	spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 	return consumerWait(c.Rcv, c.A, c.tryHandoff)
 }
 
@@ -348,7 +328,7 @@ func (c *Client) recvReply() Msg {
 	case BSWY:
 		return consumerWait(c.Rcv, c.A, c.tryHandoff)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWait(c.Rcv, c.A, c.tryHandoff)
 	}
 	panic(ErrUnknownAlgorithm)
@@ -364,7 +344,7 @@ func (c *Client) recvReplyCtx(ctx context.Context) (Msg, error) {
 	case BSWY:
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.tryHandoff)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.tryHandoff)
 	}
 	return Msg{}, ErrUnknownAlgorithm

@@ -85,7 +85,7 @@ func (c *DuplexClient) dispatchSend(m Msg) Msg {
 			return ShutdownMsg()
 		}
 		wakeConsumer(c.Snd, c.A)
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWait(c.Rcv, c.A, c.A.BusyWait)
 	}
 	panic(ErrUnknownAlgorithm)
@@ -161,7 +161,7 @@ func (c *DuplexClient) recvReply() Msg {
 	case BSWY:
 		return consumerWait(c.Rcv, c.A, c.A.BusyWait)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWait(c.Rcv, c.A, c.A.BusyWait)
 	}
 	panic(ErrUnknownAlgorithm)
@@ -177,30 +177,10 @@ func (c *DuplexClient) recvReplyCtx(ctx context.Context) (Msg, error) {
 	case BSWY:
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.A.BusyWait)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.A.BusyWait)
 	}
 	return Msg{}, ErrUnknownAlgorithm
-}
-
-func (c *DuplexClient) maxSpin() int {
-	if c.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return c.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the reply queue: BSLS's
-// fixed budget, or BSA's controller-tuned budget with feedback.
-func (c *DuplexClient) spinRcv() {
-	if c.Alg == BSA {
-		if c.Tuner == nil {
-			c.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(c.Rcv, c.A, c.Tuner, c.M, c.Obs)
-		return
-	}
-	spinPollObs(c.Rcv, c.A, c.maxSpin(), c.M, c.Obs)
 }
 
 // DuplexHandler is the server endpoint of one full-duplex connection —
@@ -218,26 +198,6 @@ type DuplexHandler struct {
 	// pending counts requests received and not yet replied to — the
 	// double-reply audit consulted by ReplyCtx.
 	pending int
-}
-
-func (h *DuplexHandler) maxSpin() int {
-	if h.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return h.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the connection's receive
-// queue: BSLS's fixed budget, or BSA's controller-tuned budget.
-func (h *DuplexHandler) spinRcv() {
-	if h.Alg == BSA {
-		if h.Tuner == nil {
-			h.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(h.Rcv, h.A, h.Tuner, h.M, h.Obs)
-		return
-	}
-	spinPollObs(h.Rcv, h.A, h.maxSpin(), h.M, h.Obs)
 }
 
 // Receive returns the connection's next request, or the OpShutdown
@@ -263,7 +223,7 @@ func (h *DuplexHandler) Receive() Msg {
 		h.A.Yield()
 		m = consumerWait(h.Rcv, h.A, nil)
 	case BSLS, BSA:
-		h.spinRcv()
+		spinPrefix(h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs)
 		m = consumerWait(h.Rcv, h.A, nil)
 	default:
 		panic(ErrUnknownAlgorithm)
@@ -295,7 +255,7 @@ func (h *DuplexHandler) ReceiveCtx(ctx context.Context) (Msg, error) {
 		h.A.Yield()
 		m, err = consumerWaitCtx(ctx, h.Rcv, h.A, nil)
 	case BSLS, BSA:
-		h.spinRcv()
+		spinPrefix(h.Alg, h.MaxSpin, &h.Tuner, h.Rcv, h.A, h.M, h.Obs)
 		m, err = consumerWaitCtx(ctx, h.Rcv, h.A, nil)
 	default:
 		return Msg{}, ErrUnknownAlgorithm

@@ -110,26 +110,6 @@ type PoolWorker struct {
 	outstanding []int32
 }
 
-func (w *PoolWorker) maxSpin() int {
-	if w.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return w.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the shared pool queue:
-// BSLS's fixed budget, or BSA's controller-tuned budget.
-func (w *PoolWorker) spinRcv() {
-	if w.Alg == BSA {
-		if w.Tuner == nil {
-			w.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(w.Rcv, w.A, w.Tuner, w.M, w.Obs)
-		return
-	}
-	spinPollObs(w.Rcv, w.A, w.maxSpin(), w.M, w.Obs)
-}
-
 func (w *PoolWorker) noteReceived(client int32) {
 	if client < 0 || int(client) >= len(w.Replies) {
 		return
@@ -170,7 +150,7 @@ func (w *PoolWorker) Receive() (Msg, bool) {
 		case BSWY:
 			w.A.Yield()
 		case BSLS, BSA:
-			w.spinRcv()
+			spinPrefix(w.Alg, w.MaxSpin, &w.Tuner, w.Rcv, w.A, w.M, w.Obs)
 		}
 		w.Rcv.RegisterWaiter()
 		if m, ok := w.Rcv.TryDequeue(); ok {
@@ -219,7 +199,7 @@ func (w *PoolWorker) ReceiveCtx(ctx context.Context) (Msg, error) {
 		case BSWY:
 			w.A.Yield()
 		case BSLS, BSA:
-			w.spinRcv()
+			spinPrefix(w.Alg, w.MaxSpin, &w.Tuner, w.Rcv, w.A, w.M, w.Obs)
 		}
 		w.Rcv.RegisterWaiter()
 		if m, ok := w.Rcv.TryDequeue(); ok {
@@ -390,26 +370,6 @@ type PoolClient struct {
 	lag int
 }
 
-func (c *PoolClient) maxSpin() int {
-	if c.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return c.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the reply queue: BSLS's
-// fixed budget, or BSA's controller-tuned budget.
-func (c *PoolClient) spinRcv() {
-	if c.Alg == BSA {
-		if c.Tuner == nil {
-			c.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(c.Rcv, c.A, c.Tuner, c.M, c.Obs)
-		return
-	}
-	spinPollObs(c.Rcv, c.A, c.maxSpin(), c.M, c.Obs)
-}
-
 // Lag reports how many replies are still owed for cancelled sends
 // (diagnostics and tests).
 func (c *PoolClient) Lag() int { return c.lag }
@@ -519,7 +479,7 @@ func (c *PoolClient) recvReply() Msg {
 	case BSWY:
 		return consumerWait(c.Rcv, c.A, c.A.BusyWait)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWait(c.Rcv, c.A, c.A.BusyWait)
 	}
 	panic(ErrUnknownAlgorithm)
@@ -535,7 +495,7 @@ func (c *PoolClient) recvReplyCtx(ctx context.Context) (Msg, error) {
 	case BSWY:
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.A.BusyWait)
 	case BSLS, BSA:
-		c.spinRcv()
+		spinPrefix(c.Alg, c.MaxSpin, &c.Tuner, c.Rcv, c.A, c.M, c.Obs)
 		return consumerWaitCtx(ctx, c.Rcv, c.A, c.A.BusyWait)
 	}
 	return Msg{}, ErrUnknownAlgorithm

@@ -233,6 +233,24 @@ func spinPoll(q interface{ Empty() bool }, a Actor, maxSpin int, m *metrics.Proc
 	}
 }
 
+// spinPrefix runs a handle's pre-block spin prefix on its receive
+// endpoint: BSLS's fixed budget (maxSpin, DefaultMaxSpin if not
+// positive), or under BSA the controller-tuned budget with feedback,
+// building the handle's controller on first use.
+func spinPrefix(alg Algorithm, maxSpin int, tun **Tuner, q interface{ Empty() bool }, a Actor, m *metrics.Proc, h obs.Hook) {
+	if alg == BSA {
+		if *tun == nil {
+			*tun = NewTuner(TunerConfig{})
+		}
+		adaptiveSpin(q, a, *tun, m, h)
+		return
+	}
+	if maxSpin <= 0 {
+		maxSpin = DefaultMaxSpin
+	}
+	spinPollObs(q, a, maxSpin, m, h)
+}
+
 // Observability wrappers. Each forwards to the plain helper when the
 // hook is disabled, so the legacy fast path pays one nil-check and no
 // clock reads; with a hook attached, the phase durations land in the

@@ -76,26 +76,6 @@ type deferredWake struct {
 	at     int64 // receive count when deferred (starvation guard)
 }
 
-func (s *Server) maxSpin() int {
-	if s.MaxSpin <= 0 {
-		return DefaultMaxSpin
-	}
-	return s.MaxSpin
-}
-
-// spinRcv runs the pre-block spin prefix on the receive queue: BSLS's
-// fixed budget, or BSA's controller-tuned budget with feedback.
-func (s *Server) spinRcv() {
-	if s.Alg == BSA {
-		if s.Tuner == nil {
-			s.Tuner = NewTuner(TunerConfig{})
-		}
-		adaptiveSpin(s.Rcv, s.A, s.Tuner, s.M, s.Obs)
-		return
-	}
-	spinPollObs(s.Rcv, s.A, s.maxSpin(), s.M, s.Obs)
-}
-
 func (s *Server) letClientsRun() {
 	if s.M != nil {
 		s.M.BusyWaits.Add(1)
@@ -160,7 +140,7 @@ func (s *Server) Receive() Msg {
 			s.letClientsRun()
 			m = consumerWait(s.Rcv, s.A, nil)
 		case BSLS, BSA:
-			s.spinRcv()
+			spinPrefix(s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs)
 			m = consumerWait(s.Rcv, s.A, nil)
 		default:
 			panic(ErrUnknownAlgorithm)
@@ -210,7 +190,7 @@ func (s *Server) ReceiveCtx(ctx context.Context) (Msg, error) {
 			s.letClientsRun()
 			m, err = consumerWaitCtx(ctx, s.Rcv, s.A, nil)
 		case BSLS, BSA:
-			s.spinRcv()
+			spinPrefix(s.Alg, s.MaxSpin, &s.Tuner, s.Rcv, s.A, s.M, s.Obs)
 			m, err = consumerWaitCtx(ctx, s.Rcv, s.A, nil)
 		default:
 			return Msg{}, ErrUnknownAlgorithm

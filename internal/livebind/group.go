@@ -421,14 +421,14 @@ func (s *System) ShardServer(sh int) (*core.Server, error) {
 	g.shardActs[sh].Store(a.ID)
 	replies := make([]core.Port, len(s.replies))
 	for i, ch := range s.replies {
-		replies[i] = &lanePort{lane: g.rep[sh][i], c: ch}
+		replies[i] = &lanePort{chanEnd: chanEnd{ch}, lane: g.rep[sh][i]}
 	}
 	s.registerActor(a, []*Channel{g.recvs[sh]}, s.replies)
 	return &core.Server{
 		Alg:     s.opts.Alg,
 		MaxSpin: s.opts.MaxSpin,
 		Tuner:   s.newTuner(fmt.Sprintf("shard%d", sh), a),
-		Rcv:     &shardRecvPort{g: g, sh: sh, ch: g.recvs[sh], lanes: g.reqLanes[sh], a: a},
+		Rcv:     &shardRecvPort{chanEnd: chanEnd{g.recvs[sh]}, g: g, sh: sh, lanes: g.reqLanes[sh], a: a},
 		Replies: replies,
 		A:       a,
 		M:       a.M,
@@ -467,7 +467,7 @@ func (s *System) groupClient(i int) (*core.Client, error) {
 		MaxSpin:   s.opts.MaxSpin,
 		Tuner:     s.newTuner(fmt.Sprintf("client%d", i), a),
 		Srv:       &pickPort{g: g, id: int32(i), home: home, sticky: g.picker.Sticky(), bind: bind, m: a.M},
-		Rcv:       &clientRcvPort{g: g, ch: s.replies[i], bind: bind},
+		Rcv:       &clientRcvPort{chanEnd: chanEnd{s.replies[i]}, g: g, bind: bind},
 		A:         a,
 		M:         a.M,
 		Obs:       a.Obs,
@@ -649,8 +649,8 @@ func (p *pickPort) PeerDead() bool {
 // exactly that shard — when the sweeper declares it dead, the parked
 // wait must end in ErrPeerDead instead of sleeping forever.
 type clientRcvPort struct {
+	chanEnd
 	g    *group
-	ch   *Channel
 	bind *clientBind
 }
 
@@ -659,31 +659,19 @@ type clientRcvPort struct {
 func (p *clientRcvPort) TryEnqueue(core.Msg) bool { return false }
 
 // TryDequeue implements core.Port.
-func (p *clientRcvPort) TryDequeue() (core.Msg, bool) { return p.ch.q.Dequeue() }
+func (p *clientRcvPort) TryDequeue() (core.Msg, bool) { return p.c.q.Dequeue() }
 
 // Empty implements core.Port.
-func (p *clientRcvPort) Empty() bool { return p.ch.q.Empty() }
-
-// SetAwake implements core.Port.
-func (p *clientRcvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
-
-// TASAwake implements core.Port.
-func (p *clientRcvPort) TASAwake() bool { return p.ch.awake.Swap(true) }
-
-// Sem implements core.Port.
-func (p *clientRcvPort) Sem() core.SemID { return p.ch.id }
-
-// Refusing implements core.PortState.
-func (p *clientRcvPort) Refusing() bool { return p.ch.refuse.Load() }
+func (p *clientRcvPort) Empty() bool { return p.c.q.Empty() }
 
 // Closed implements core.PortState.
 func (p *clientRcvPort) Closed() bool {
-	return p.ch.closed.Load() || p.g.dead[p.bind.cur].Load()
+	return p.chanEnd.Closed() || p.g.dead[p.bind.cur].Load()
 }
 
 // PeerDead implements core.PortHealth.
 func (p *clientRcvPort) PeerDead() bool {
-	return p.ch.dead.Load() || p.g.dead[p.bind.cur].Load()
+	return p.chanEnd.PeerDead() || p.g.dead[p.bind.cur].Load()
 }
 
 // lanePort is a shard's reply endpoint to one client: the payload goes
@@ -691,8 +679,8 @@ func (p *clientRcvPort) PeerDead() bool {
 // the wake state and shutdown state belong to the client's fused reply
 // channel.
 type lanePort struct {
+	chanEnd
 	lane *queue.SPSC
-	c    *Channel
 }
 
 // TryEnqueue implements core.Port.
@@ -716,33 +704,15 @@ func (p *lanePort) TryDequeue() (core.Msg, bool) { return core.Msg{}, false }
 // Empty implements core.Port.
 func (p *lanePort) Empty() bool { return p.lane.Empty() }
 
-// SetAwake implements core.Port.
-func (p *lanePort) SetAwake(v bool) { p.c.awake.Store(v) }
-
-// TASAwake implements core.Port.
-func (p *lanePort) TASAwake() bool { return p.c.awake.Swap(true) }
-
-// Sem implements core.Port.
-func (p *lanePort) Sem() core.SemID { return p.c.id }
-
-// Refusing implements core.PortState.
-func (p *lanePort) Refusing() bool { return p.c.refuse.Load() }
-
-// Closed implements core.PortState.
-func (p *lanePort) Closed() bool { return p.c.closed.Load() }
-
-// PeerDead implements core.PortHealth.
-func (p *lanePort) PeerDead() bool { return p.c.dead.Load() }
-
 // shardRecvPort is a shard server's receive endpoint: its own lane
 // fan-in first, then — when the shard runs dry and stealing is on — a
 // bounded batch from the deepest live sibling. Stolen messages are
 // stashed and handed out one at a time so the Server's per-message
 // accounting (wake retirement, outstanding audit) applies unchanged.
 type shardRecvPort struct {
+	chanEnd
 	g     *group
 	sh    int
-	ch    *Channel
 	lanes *queue.Lanes
 	a     *Actor
 
@@ -813,24 +783,6 @@ func (p *shardRecvPort) TryEnqueue(core.Msg) bool { return false }
 func (p *shardRecvPort) Empty() bool {
 	return p.si >= len(p.stash) && p.lanes.Empty()
 }
-
-// SetAwake implements core.Port.
-func (p *shardRecvPort) SetAwake(v bool) { p.ch.awake.Store(v) }
-
-// TASAwake implements core.Port.
-func (p *shardRecvPort) TASAwake() bool { return p.ch.awake.Swap(true) }
-
-// Sem implements core.Port.
-func (p *shardRecvPort) Sem() core.SemID { return p.ch.id }
-
-// Refusing implements core.PortState.
-func (p *shardRecvPort) Refusing() bool { return p.ch.refuse.Load() }
-
-// Closed implements core.PortState.
-func (p *shardRecvPort) Closed() bool { return p.ch.closed.Load() }
-
-// PeerDead implements core.PortHealth.
-func (p *shardRecvPort) PeerDead() bool { return p.ch.dead.Load() }
 
 var (
 	_ core.Port       = (*pickPort)(nil)

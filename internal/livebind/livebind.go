@@ -134,6 +134,31 @@ func (c *Channel) MarkPeerDead() {
 // PeerDead reports whether the sweeper declared the channel's peer dead.
 func (c *Channel) PeerDead() bool { return c.dead.Load() }
 
+// chanEnd is the channel state every in-process endpoint shares: the
+// consumer's wake state (awake flag, semaphore id) and the shutdown and
+// peer-death flags of the channel it is attached to. Embedding it gives
+// an endpoint core.Port's SetAwake/TASAwake/Sem plus core.PortState and
+// core.PortHealth.
+type chanEnd struct{ c *Channel }
+
+// SetAwake implements core.Port.
+func (e chanEnd) SetAwake(v bool) { e.c.awake.Store(v) }
+
+// TASAwake implements core.Port.
+func (e chanEnd) TASAwake() bool { return e.c.awake.Swap(true) }
+
+// Sem implements core.Port.
+func (e chanEnd) Sem() core.SemID { return e.c.id }
+
+// Refusing implements core.PortState.
+func (e chanEnd) Refusing() bool { return e.c.refuse.Load() }
+
+// Closed implements core.PortState.
+func (e chanEnd) Closed() bool { return e.c.closed.Load() }
+
+// PeerDead implements core.PortHealth.
+func (e chanEnd) PeerDead() bool { return e.c.dead.Load() }
+
 // Port is a process's endpoint on a channel; it implements core.Port.
 //
 // A port built by System with Options.AllocBatch > 1 over a two-lock
@@ -143,7 +168,7 @@ func (c *Channel) PeerDead() bool { return c.dead.Load() }
 // passed to DrainPort) when its owner retires, or the cached refs stay
 // invisible to the pool's flow control.
 type Port struct {
-	c     *Channel
+	chanEnd
 	tl    *queue.TwoLock // non-nil iff cache is non-nil or fh is enabled
 	cache *shm.PoolCache
 	m     *metrics.Proc // optional: batching statistics
@@ -158,13 +183,13 @@ type Port struct {
 }
 
 // NewPort returns an endpoint view of the channel.
-func NewPort(c *Channel) *Port { return &Port{c: c, owner: queue.AnonOwner} }
+func NewPort(c *Channel) *Port { return &Port{chanEnd: chanEnd{c}, owner: queue.AnonOwner} }
 
 // newBatchedPort returns a producer endpoint with a private allocation
 // cache of the given batch size when the channel's queue supports it
 // (two-lock only — the other kinds have no shared node pool to batch).
 func newBatchedPort(c *Channel, batch int, m *metrics.Proc) *Port {
-	p := &Port{c: c, m: m, owner: queue.AnonOwner}
+	p := &Port{chanEnd: chanEnd{c}, m: m, owner: queue.AnonOwner}
 	if tl, ok := c.q.(*queue.TwoLock); ok && batch > 1 {
 		p.tl = tl
 		p.cache = tl.Pool().NewCache(batch)
@@ -248,33 +273,29 @@ func (p *Port) Depth() int {
 	return 0
 }
 
-// SetAwake implements core.Port.
-func (p *Port) SetAwake(v bool) { p.c.awake.Store(v) }
-
-// TASAwake implements core.Port.
-func (p *Port) TASAwake() bool { return p.c.awake.Swap(true) }
-
-// Sem implements core.Port.
-func (p *Port) Sem() core.SemID { return p.c.id }
-
-// Refusing implements core.PortState.
-func (p *Port) Refusing() bool { return p.c.refuse.Load() }
-
-// Closed implements core.PortState.
-func (p *Port) Closed() bool { return p.c.closed.Load() }
-
-// PeerDead implements core.PortHealth.
-func (p *Port) PeerDead() bool { return p.c.dead.Load() }
+// semaphore is the counting semaphore an Actor's table indexes: the
+// in-process Semaphore and the cross-process, futex-backed ProcSem.
+type semaphore interface {
+	P() (slept bool)
+	PCtx(ctx context.Context) (slept bool, err error)
+	V() (woke bool)
+}
 
 // Actor implements core.Actor over the Go runtime. Each participant
 // (client or server goroutine) owns one Actor; the sems table maps
-// core.SemID to the process-wide semaphores.
+// core.SemID to the semaphores it shares with its peers — Semaphores
+// in process, ProcSems over a mapped segment (see AttachProcServer).
 type Actor struct {
-	sems []*Semaphore
+	sems []semaphore
+
+	// xproc makes Yield and the yielding busy_wait a real sched_yield
+	// instead of runtime.Gosched: the peer that should run lives in
+	// another process. Set by the cross-process attach path.
+	xproc bool
 
 	// SpinIters, when positive, makes BusyWait/PollDelay a bounded spin
-	// (multiprocessor flavour); otherwise they are runtime.Gosched
-	// (uniprocessor flavour).
+	// (multiprocessor flavour); otherwise they yield (uniprocessor
+	// flavour).
 	SpinIters int
 
 	// SleepScale compresses the protocols' queue-full sleep(1) for
@@ -319,12 +340,22 @@ func (a *Actor) beat() {
 	}
 }
 
+// yield gives up the processor: sched_yield across processes,
+// runtime.Gosched within one.
+func (a *Actor) yield() {
+	if a.xproc {
+		osYield()
+		return
+	}
+	runtime.Gosched()
+}
+
 // Yield implements core.Actor.
 func (a *Actor) Yield() {
 	if a.M != nil {
 		a.M.Yields.Add(1)
 	}
-	runtime.Gosched()
+	a.yield()
 }
 
 // BusyWait implements core.Actor.
@@ -333,51 +364,68 @@ func (a *Actor) BusyWait() {
 		a.spin(a.SpinIters)
 		return
 	}
-	runtime.Gosched()
+	a.yield()
 }
 
 // PollDelay implements core.Actor.
 func (a *Actor) PollDelay() { a.BusyWait() }
 
-// SleepSec implements core.Actor.
-func (a *Actor) SleepSec(s int) {
+// nap counts one queue-full sleep and returns its length: s seconds,
+// compressed by SleepScale and stretched by the BSA controller's
+// oversubscription backoff.
+func (a *Actor) nap(s int) time.Duration {
 	if a.M != nil {
 		a.M.Sleeps.Add(1)
 	}
-	d := time.Duration(s) * time.Second
+	unit := time.Second
 	if a.SleepScale > 0 {
-		d = time.Duration(s) * a.SleepScale
+		unit = a.SleepScale
 	}
+	d := time.Duration(s) * unit
 	if a.Tun != nil {
 		d = a.Tun.NapScale(d)
 	}
-	time.Sleep(d)
+	return d
 }
 
-// P implements core.Actor. When the call actually sleeps it is counted
-// as a block; with observability attached the parked duration lands in
-// the sleep-phase histogram and an EvBlock event (arg: blocked ns) on
-// the flight recorder. The non-blocking path takes no timestamps.
-func (a *Actor) P(id core.SemID) {
+// SleepSec implements core.Actor.
+func (a *Actor) SleepSec(s int) { time.Sleep(a.nap(s)) }
+
+// enterP is the prologue of P and PCtx: the SemP count, the liveness
+// beat, the block crashpoint, and — with observability attached only —
+// the clock read that times the park.
+func (a *Actor) enterP() (t0 time.Time) {
 	if a.M != nil {
 		a.M.SemP.Add(1)
 	}
 	a.beat()
 	a.FH.Crashpoint(fault.PtBlock)
-	if !a.Obs.Enabled() {
-		if a.sems[id].P() && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		return
+	if a.Obs.Enabled() {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	if a.sems[id].P() {
+	return t0
+}
+
+// blocked is the epilogue of a P or PCtx that actually slept: it
+// counts a block and, with observability attached, lands the parked
+// duration in the sleep-phase histogram and an EvBlock event (arg:
+// blocked ns) on the flight recorder.
+func (a *Actor) blocked(t0 time.Time) {
+	if a.M != nil {
+		a.M.Blocks.Add(1)
+	}
+	if a.Obs.Enabled() {
 		d := time.Since(t0)
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
 		a.Obs.Sleep(d)
 		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
+	}
+}
+
+// P implements core.Actor. The non-blocking path takes no timestamps.
+func (a *Actor) P(id core.SemID) {
+	t0 := a.enterP()
+	if a.sems[id].P() {
+		a.blocked(t0)
 	}
 }
 
@@ -413,9 +461,9 @@ func (a *Actor) V(id core.SemID) {
 	}
 }
 
-// Handoff implements core.Actor. The Go runtime exposes no hand-off
-// primitive, so the hint degrades to a yield — exactly the fallback the
-// paper's portable implementation uses.
+// Handoff implements core.Actor. Neither the Go runtime nor the kernel
+// exposes a hand-off primitive, so the hint degrades to a yield —
+// exactly the fallback the paper's portable implementation uses.
 func (a *Actor) Handoff(target int) { a.Yield() }
 
 // countCtxErr attributes a cancellation outcome to the robustness
@@ -441,28 +489,10 @@ func (a *Actor) countCtxErr(err error) {
 // PCtx implements core.CtxActor: P with cancellation and exact token
 // accounting (see Semaphore.PCtx). Sleep attribution mirrors P.
 func (a *Actor) PCtx(ctx context.Context, id core.SemID) error {
-	if a.M != nil {
-		a.M.SemP.Add(1)
-	}
-	a.beat()
-	a.FH.Crashpoint(fault.PtBlock)
-	if !a.Obs.Enabled() {
-		slept, err := a.sems[id].PCtx(ctx)
-		if slept && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.countCtxErr(err)
-		return err
-	}
-	t0 := time.Now()
+	t0 := a.enterP()
 	slept, err := a.sems[id].PCtx(ctx)
 	if slept {
-		d := time.Since(t0)
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.Obs.Sleep(d)
-		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
+		a.blocked(t0)
 	}
 	a.countCtxErr(err)
 	return err
@@ -470,17 +500,7 @@ func (a *Actor) PCtx(ctx context.Context, id core.SemID) error {
 
 // SleepCtx implements core.CtxActor: the queue-full nap, cancellable.
 func (a *Actor) SleepCtx(ctx context.Context, s int) error {
-	if a.M != nil {
-		a.M.Sleeps.Add(1)
-	}
-	d := time.Duration(s) * time.Second
-	if a.SleepScale > 0 {
-		d = time.Duration(s) * a.SleepScale
-	}
-	if a.Tun != nil {
-		d = a.Tun.NapScale(d)
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(a.nap(s))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -510,16 +530,16 @@ var (
 	_ core.PortState  = (*Port)(nil)
 	_ core.PortHealth = (*Port)(nil)
 	_ core.DepthPort  = (*Port)(nil)
+	_ semaphore       = (*Semaphore)(nil)
+	_ semaphore       = (*ProcSem)(nil)
 )
 
 // PoolPort is a channel endpoint whose consumer side is a worker pool
 // (counted waiters); it implements core.PoolPort.
-type PoolPort struct {
-	c *Channel
-}
+type PoolPort struct{ chanEnd }
 
 // NewPoolPort returns a pool-endpoint view of the channel.
-func NewPoolPort(c *Channel) *PoolPort { return &PoolPort{c: c} }
+func NewPoolPort(c *Channel) *PoolPort { return &PoolPort{chanEnd{c}} }
 
 // TryEnqueue implements core.PoolPort.
 func (p *PoolPort) TryEnqueue(m core.Msg) bool { return p.c.q.Enqueue(m) }
@@ -538,18 +558,6 @@ func (p *PoolPort) TryUnregisterWaiter() bool { return decIfPositive(&p.c.waiter
 
 // ClaimWaiter implements core.PoolPort.
 func (p *PoolPort) ClaimWaiter() bool { return decIfPositive(&p.c.waiters) }
-
-// Sem implements core.PoolPort.
-func (p *PoolPort) Sem() core.SemID { return p.c.id }
-
-// Refusing implements core.PortState.
-func (p *PoolPort) Refusing() bool { return p.c.refuse.Load() }
-
-// Closed implements core.PortState.
-func (p *PoolPort) Closed() bool { return p.c.closed.Load() }
-
-// PeerDead implements core.PortHealth.
-func (p *PoolPort) PeerDead() bool { return p.c.dead.Load() }
 
 // decIfPositive atomically decrements v if it is positive.
 func decIfPositive(v *atomic.Int64) bool {

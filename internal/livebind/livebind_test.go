@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"ulipc/internal/core"
+	"ulipc/internal/metrics"
 	"ulipc/internal/queue"
+	"ulipc/internal/shm"
 )
 
 func TestSemaphorePendingV(t *testing.T) {
@@ -181,27 +183,67 @@ func TestSemaphoreBounded(t *testing.T) {
 	}
 }
 
+type actorFlavour struct {
+	name string
+	a    *Actor
+}
+
+// actorFlavours returns the Actor as each transport builds it: the
+// zero-value in-process actor (runtime.Gosched) and the one the
+// cross-process attach path builds over a segment's futex semaphores
+// (sched_yield). Tests set the tuning fields they exercise on both.
+func actorFlavours(t *testing.T) []actorFlavour {
+	t.Helper()
+	seg, err := shm.NewHeapSeg(shm.SegConfig{Clients: 1, Nodes: 16, RingCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	sys, err := attachProc(seg, ServerSlot, ProcOptions{NoSweep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	xa := sys.newActor()
+	if !xa.xproc || len(xa.sems) != len(sys.sems) {
+		t.Fatalf("cross-process actor: xproc=%v sems=%d, want true/%d", xa.xproc, len(xa.sems), len(sys.sems))
+	}
+	return []actorFlavour{{"inproc", &Actor{}}, {"xproc", xa}}
+}
+
 func TestActorSleepScale(t *testing.T) {
-	a := &Actor{SleepScale: time.Microsecond}
-	start := time.Now()
-	a.SleepSec(1)
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("scaled sleep took %v", d)
+	for _, f := range actorFlavours(t) {
+		a := f.a
+		a.SleepScale = time.Microsecond
+		start := time.Now()
+		a.SleepSec(1)
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("%s: scaled sleep took %v", f.name, d)
+		}
 	}
 }
 
 func TestActorSpinFlavour(t *testing.T) {
-	a := &Actor{SpinIters: 100}
-	a.BusyWait() // must not yield/panic; just burn cycles
-	a.PollDelay()
-	if a.spinSink == 0 {
-		t.Fatal("spin did not run")
+	for _, f := range actorFlavours(t) {
+		a := f.a
+		a.SpinIters = 100
+		a.BusyWait() // must not yield/panic; just burn cycles
+		a.PollDelay()
+		if a.spinSink == 0 {
+			t.Fatalf("%s: spin did not run", f.name)
+		}
 	}
 }
 
 func TestActorHandoffDegradesToYield(t *testing.T) {
-	a := &Actor{}
-	a.Handoff(5) // must not panic; degrades to Gosched
+	for _, f := range actorFlavours(t) {
+		a := f.a
+		a.M = &metrics.Proc{}
+		a.Handoff(5) // must not panic; degrades to Gosched / sched_yield
+		if y := a.M.Yields.Load(); y != 1 {
+			t.Fatalf("%s: Handoff counted %d yields, want 1", f.name, y)
+		}
+	}
 }
 
 func TestSystemMetricsNames(t *testing.T) {

@@ -1,7 +1,6 @@
 package livebind
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -326,15 +325,27 @@ func (s *ProcSystem) View() *shm.SegView { return s.v }
 // death observed by any sweeper).
 func (s *ProcSystem) SegDead() bool { return s.v.Hdr.State.Load() == shm.SegDead }
 
-// newActor builds this participant's actor over the semaphore table.
-func (s *ProcSystem) newActor() *ProcActor {
-	return &ProcActor{
-		sems:       s.sems,
+// newActor builds this participant's actor over the futex semaphore
+// table, yielding with sched_yield. Under BSA it also builds the
+// handle's controller as Actor.Tun, which the attach path hands to the
+// handle too: queue-full naps then stretch with the oversubscription
+// backoff, as System.newTuner arranges in process.
+func (s *ProcSystem) newActor() *Actor {
+	a := &Actor{
+		sems:       make([]semaphore, len(s.sems)),
+		xproc:      true,
 		SpinIters:  s.opts.SpinIters,
 		SleepScale: s.opts.SleepScale,
 		M:          s.opts.M,
 		Obs:        s.opts.Obs,
 	}
+	for i, sem := range s.sems {
+		a.sems[i] = sem
+	}
+	if s.opts.Alg == core.BSA {
+		a.Tun = core.NewTuner(core.TunerConfig{})
+	}
+	return a
 }
 
 // procPort is an endpoint over segment lanes; it implements core.Port,
@@ -435,169 +446,10 @@ func (p *procPort) PeerDead() bool {
 	return p.v.Hdr.State.Load() == shm.SegDead || p.peerDead()
 }
 
-// ProcActor implements core.Actor/core.CtxActor over the futex
-// semaphore table. It is Actor with the process-local pieces swapped
-// out: ProcSem for Semaphore, sched_yield for runtime.Gosched.
-type ProcActor struct {
-	sems       []*ProcSem
-	SpinIters  int
-	SleepScale time.Duration
-	M          *metrics.Proc
-	Obs        obs.Hook
-	spinSink   int64
-}
-
-// Yield implements core.Actor with a real sched_yield: the peer that
-// should run lives in another process.
-func (a *ProcActor) Yield() {
-	if a.M != nil {
-		a.M.Yields.Add(1)
-	}
-	osYield()
-}
-
-// BusyWait implements core.Actor.
-func (a *ProcActor) BusyWait() {
-	if a.SpinIters > 0 {
-		a.spin(a.SpinIters)
-		return
-	}
-	osYield()
-}
-
-// PollDelay implements core.Actor.
-func (a *ProcActor) PollDelay() { a.BusyWait() }
-
-// SleepSec implements core.Actor.
-func (a *ProcActor) SleepSec(s int) {
-	if a.M != nil {
-		a.M.Sleeps.Add(1)
-	}
-	d := time.Duration(s) * time.Second
-	if a.SleepScale > 0 {
-		d = time.Duration(s) * a.SleepScale
-	}
-	time.Sleep(d)
-}
-
-// P implements core.Actor; block accounting mirrors Actor.P.
-func (a *ProcActor) P(id core.SemID) {
-	if a.M != nil {
-		a.M.SemP.Add(1)
-	}
-	if !a.Obs.Enabled() {
-		if a.sems[id].P() && a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		return
-	}
-	t0 := time.Now()
-	if a.sems[id].P() {
-		d := time.Since(t0)
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		a.Obs.Sleep(d)
-		a.Obs.Note(obs.EvBlock, d.Nanoseconds())
-	}
-}
-
-// V implements core.Actor.
-func (a *ProcActor) V(id core.SemID) {
-	if a.M != nil {
-		a.M.SemV.Add(1)
-	}
-	if a.sems[id].V() {
-		if a.M != nil {
-			a.M.Wakeups.Add(1)
-		}
-		a.Obs.Note(obs.EvWake, int64(id))
-	}
-}
-
-// Handoff implements core.Actor: no cross-process hand-off primitive
-// exists, so the hint degrades to sched_yield — which at least gives
-// the scheduler the chance to run the peer process.
-func (a *ProcActor) Handoff(target int) { a.Yield() }
-
-// PCtx implements core.CtxActor.
-func (a *ProcActor) PCtx(ctx context.Context, id core.SemID) error {
-	if a.M != nil {
-		a.M.SemP.Add(1)
-	}
-	t0 := time.Time{}
-	if a.Obs.Enabled() {
-		t0 = time.Now()
-	}
-	slept, err := a.sems[id].PCtx(ctx)
-	if slept {
-		if a.M != nil {
-			a.M.Blocks.Add(1)
-		}
-		if !t0.IsZero() {
-			d := time.Since(t0)
-			a.Obs.Sleep(d)
-			a.Obs.Note(obs.EvBlock, d.Nanoseconds())
-		}
-	}
-	a.countCtxErr(err)
-	return err
-}
-
-// SleepCtx implements core.CtxActor.
-func (a *ProcActor) SleepCtx(ctx context.Context, s int) error {
-	if a.M != nil {
-		a.M.Sleeps.Add(1)
-	}
-	d := time.Duration(s) * time.Second
-	if a.SleepScale > 0 {
-		d = time.Duration(s) * a.SleepScale
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		a.countCtxErr(ctx.Err())
-		return ctx.Err()
-	}
-}
-
-// countCtxErr mirrors Actor.countCtxErr.
-func (a *ProcActor) countCtxErr(err error) {
-	if err == nil {
-		return
-	}
-	switch err {
-	case context.DeadlineExceeded:
-		if a.M != nil {
-			a.M.Timeouts.Add(1)
-		}
-		a.Obs.Note(obs.EvTimeout, 0)
-	case context.Canceled:
-		if a.M != nil {
-			a.M.Cancels.Add(1)
-		}
-		a.Obs.Note(obs.EvCancel, 0)
-	}
-}
-
-//go:noinline
-func (a *ProcActor) spin(n int) {
-	acc := a.spinSink
-	for i := 0; i < n; i++ {
-		acc += int64(i)
-	}
-	a.spinSink = acc
-}
-
 var (
 	_ core.Port       = (*procPort)(nil)
 	_ core.PortState  = (*procPort)(nil)
 	_ core.PortHealth = (*procPort)(nil)
-	_ core.Actor      = (*ProcActor)(nil)
-	_ core.CtxActor   = (*ProcActor)(nil)
 )
 
 // ProcServer is a core.Server attached to a segment, plus its
@@ -645,9 +497,10 @@ func AttachProcServer(seg *shm.Seg, opts ProcOptions) (*ProcServer, error) {
 			slot: &v.Sems[1+i], sem: core.SemID(1 + i), peer: 1 + i,
 		}
 	}
+	a := sys.newActor()
 	srv := &core.Server{
-		Alg: opts.Alg, MaxSpin: opts.MaxSpin,
-		Rcv: rcv, Replies: replies, A: sys.newActor(),
+		Alg: opts.Alg, MaxSpin: opts.MaxSpin, Tuner: a.Tun,
+		Rcv: rcv, Replies: replies, A: a,
 		M: opts.M, Obs: opts.Obs,
 	}
 	if v.Blocks != nil {
@@ -679,9 +532,10 @@ func AttachProcClient(seg *shm.Seg, id int, opts ProcOptions) (*ProcClient, erro
 		v: v, pool: v.Pool, deq: []*shm.Lane{v.ReplyLane(id)},
 		slot: &v.Sems[1+id], sem: core.SemID(1 + id), peer: ServerSlot,
 	}
+	a := sys.newActor()
 	cl := &core.Client{
-		ID: int32(id), Alg: opts.Alg, MaxSpin: opts.MaxSpin,
-		Srv: srvPort, Rcv: rcv, A: sys.newActor(),
+		ID: int32(id), Alg: opts.Alg, MaxSpin: opts.MaxSpin, Tuner: a.Tun,
+		Srv: srvPort, Rcv: rcv, A: a,
 		M: opts.M, Obs: opts.Obs,
 	}
 	if v.Blocks != nil {

@@ -3,11 +3,13 @@ package livebind
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"ulipc/internal/core"
+	"ulipc/internal/metrics"
 	"ulipc/internal/shm"
 )
 
@@ -264,4 +266,125 @@ func TestProcAttachErrors(t *testing.T) {
 	if _, err := AttachProcClient(seg, 0, opts); !errors.Is(err, core.ErrPeerDead) {
 		t.Fatalf("attach to dead segment: %v, want ErrPeerDead", err)
 	}
+}
+
+// A cross-process BSA handle wires its controller into its actor, as
+// System.newTuner does in process: while the controller backs off from
+// oversubscription, the queue-full nap stretches (Tuner.NapScale).
+func TestProcBSANapStretch(t *testing.T) {
+	seg, err := shm.NewHeapSeg(shm.SegConfig{Clients: 1, Nodes: 16, RingCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	opts := testProcOptions(core.BSA)
+	cl, err := AttachProcClient(seg, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if cl.Tuner == nil {
+		t.Fatal("BSA ProcClient has no Tuner")
+	}
+	for i := 0; i < 10; i++ {
+		cl.Tuner.Observe(0, true) // every wait slept anyway: back off
+	}
+	want := cl.Tuner.NapScale(opts.SleepScale)
+	if want <= opts.SleepScale {
+		t.Fatalf("controller not backing off: NapScale(%v) = %v", opts.SleepScale, want)
+	}
+	start := time.Now()
+	cl.A.SleepSec(1)
+	if d := time.Since(start); d < want {
+		t.Fatalf("SleepSec(1) took %v, want >= %v (nap stretch not wired into the actor)", d, want)
+	}
+}
+
+// The Actor's counters tick identically whichever semaphore its table
+// holds: P, V, PCtx and SleepCtx over the in-process Semaphore (both
+// wait disciplines) and over the cross-process ProcSem.
+func TestActorCountersAcrossSemaphores(t *testing.T) {
+	type table struct {
+		name   string
+		sem    semaphore
+		parked func() bool // a plain P is asleep on the semaphore
+	}
+	cond, warray, proc := NewSemaphore(0), NewWaitArraySemaphore(0), newTestSem(t)
+	tables := []table{
+		{"Semaphore", cond, func() bool { return cond.Sleeping() == 1 }},
+		{"WaitArraySemaphore", warray, func() bool { return warray.Sleeping() == 1 }},
+		{"ProcSem", proc, func() bool { return proc.Waiters() == 1 }},
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	cancelled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	steps := []struct {
+		name string
+		do   func(a *Actor, parked func() bool)
+		want metrics.Snapshot
+	}{
+		{"V without sleeper", func(a *Actor, _ func() bool) { a.V(0) },
+			metrics.Snapshot{SemV: 1}},
+		{"P on a token", func(a *Actor, _ func() bool) { a.P(0) },
+			metrics.Snapshot{SemV: 1, SemP: 1}},
+		{"P woken by V", func(a *Actor, parked func() bool) {
+			done := make(chan struct{})
+			go func() { a.P(0); close(done) }()
+			for !parked() {
+				time.Sleep(time.Millisecond)
+			}
+			a.V(0)
+			<-done
+		}, metrics.Snapshot{SemV: 2, SemP: 2, Blocks: 1, Wakeups: 1}},
+		{"PCtx past deadline", func(a *Actor, _ func() bool) {
+			if err := a.PCtx(expired, 0); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("PCtx = %v, want DeadlineExceeded", err)
+			}
+		}, metrics.Snapshot{SemV: 2, SemP: 3, Blocks: 1, Wakeups: 1, Timeouts: 1}},
+		{"PCtx parked until deadline", func(a *Actor, _ func() bool) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			if err := a.PCtx(ctx, 0); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("PCtx = %v, want DeadlineExceeded", err)
+			}
+		}, metrics.Snapshot{SemV: 2, SemP: 4, Blocks: 2, Wakeups: 1, Timeouts: 2}},
+		{"PCtx cancelled", func(a *Actor, _ func() bool) {
+			if err := a.PCtx(cancelled, 0); !errors.Is(err, context.Canceled) {
+				t.Errorf("PCtx = %v, want Canceled", err)
+			}
+		}, metrics.Snapshot{SemV: 2, SemP: 5, Blocks: 2, Wakeups: 1, Timeouts: 2, Cancels: 1}},
+		{"PCtx on a token", func(a *Actor, _ func() bool) {
+			a.V(0)
+			if err := a.PCtx(context.Background(), 0); err != nil {
+				t.Errorf("PCtx = %v, want nil", err)
+			}
+		}, metrics.Snapshot{SemV: 3, SemP: 6, Blocks: 2, Wakeups: 1, Timeouts: 2, Cancels: 1}},
+		{"SleepCtx", func(a *Actor, _ func() bool) {
+			if err := a.SleepCtx(context.Background(), 1); err != nil {
+				t.Errorf("SleepCtx = %v, want nil", err)
+			}
+			a.SleepScale = time.Hour // the cancellation must win the select
+			defer func() { a.SleepScale = time.Microsecond }()
+			if err := a.SleepCtx(cancelled, 1); !errors.Is(err, context.Canceled) {
+				t.Errorf("SleepCtx = %v, want Canceled", err)
+			}
+		}, metrics.Snapshot{SemV: 3, SemP: 6, Blocks: 2, Wakeups: 1, Timeouts: 2, Cancels: 2, Sleeps: 2}},
+	}
+	for _, tb := range tables {
+		a := &Actor{sems: []semaphore{tb.sem}, SleepScale: time.Microsecond, M: &metrics.Proc{}}
+		for _, st := range steps {
+			st.do(a, tb.parked)
+			got := a.M.Snapshot()
+			got.Name = ""
+			if got != st.want {
+				t.Fatalf("%s, after %s: counters %s, want %s", tb.name, st.name, actorCounters(got), actorCounters(st.want))
+			}
+		}
+	}
+}
+
+func actorCounters(s metrics.Snapshot) string {
+	return fmt.Sprintf("SemP=%d SemV=%d Blocks=%d Wakeups=%d Timeouts=%d Cancels=%d Sleeps=%d",
+		s.SemP, s.SemV, s.Blocks, s.Wakeups, s.Timeouts, s.Cancels, s.Sleeps)
 }

@@ -261,29 +261,6 @@ func WithAllocBatch(n int) Option {
 	return func(o *Options) { o.AllocBatch = n }
 }
 
-// WithMaxSpin sets the BSLS MAX_SPIN budget (see Options.MaxSpin).
-//
-// Deprecated: use WithTuning(Tuning{MaxSpin: n}) — or WithAdaptive to
-// stop choosing the number at all.
-func WithMaxSpin(n int) Option {
-	return func(o *Options) { o.MaxSpin = n }
-}
-
-// WithThrottle sets the server wake throttle (see Options.Throttle).
-//
-// Deprecated: use WithTuning(Tuning{Throttle: n}).
-func WithThrottle(n int) Option {
-	return func(o *Options) { o.Throttle = n }
-}
-
-// WithSleepScale compresses the queue-full sleep(1) (see
-// Options.SleepScale).
-//
-// Deprecated: use WithTuning(Tuning{SleepScale: d}).
-func WithSleepScale(d time.Duration) Option {
-	return func(o *Options) { o.SleepScale = d }
-}
-
 // WithDuplex wires the client->server queues for the thread-per-client
 // architecture (see Options.Duplex).
 func WithDuplex() Option {
@@ -486,7 +463,7 @@ type System struct {
 	grp     *group   // sharded topology; nil unless Options.Shards > 0
 	replies []*Channel
 	c2s     []*Channel // per-client request channels (Duplex only)
-	sems    []*Semaphore
+	sems    []semaphore
 	blocks  *shm.BlockPool
 	over    *heapOverflow // CopyFallback overflow table; nil unless enabled
 	ms      *metrics.Set

@@ -555,7 +555,10 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 	// is empty and nothing has arrived for a settle window longer than
 	// the reply producer's backoff ceiling (8 scaled "seconds"), so a
 	// server napping against this client's momentarily-full reply queue
-	// still gets its retry in before the collector leaves.
+	// still gets its retry in before the collector leaves. The grace
+	// window opens when this client stops sending, not at the end of the
+	// arrival window: a generator that fell behind schedule finishes past
+	// durNs, and leaving at once would strand its queued backlog.
 	depth := func() int {
 		if d, ok := cl.Srv.(core.DepthPort); ok {
 			return d.Depth()
@@ -563,7 +566,7 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		return 0
 	}
 	settle := 8*cfg.SleepScale.Nanoseconds() + 4_000_000
-	hardEnd := durNs + graceNs
+	hardEnd := max(durNs, nowNs()) + graceNs
 	quietSince := int64(-1)
 	for ctx.Err() == nil && nowNs() < hardEnd {
 		if drain() > 0 || depth() > 0 {

@@ -151,7 +151,7 @@ type Server = core.Server
 type Options = livebind.Options
 
 // Option is a functional setting applied by NewSystem on top of the
-// Options struct (WithReplyKind, WithAllocBatch, WithMaxSpin, ...).
+// Options struct (WithReplyKind, WithAllocBatch, WithTuning, ...).
 type Option = livebind.Option
 
 // Tuning consolidates the protocol tuning knobs (spin budget, nap
@@ -206,17 +206,6 @@ type Admission = livebind.Admission
 // through the token-conserving TAS guard). Pair it with deadline-aware
 // clients — a shed message's reply never comes.
 type ShedPolicy = core.ShedPolicy
-
-// Deprecated single-knob tuning options, kept as thin aliases of the
-// livebind originals.
-//
-// Deprecated: use WithTuning (one struct for MaxSpin, SleepScale and
-// Throttle) or WithAdaptive (the BSA controller chooses them online).
-var (
-	WithMaxSpin    = livebind.WithMaxSpin
-	WithThrottle   = livebind.WithThrottle
-	WithSleepScale = livebind.WithSleepScale
-)
 
 // Observer collects per-protocol phase-latency histograms (send RTT,
 // queue wait, spin, sleep) and — when configured with a RecorderCap —
