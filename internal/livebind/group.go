@@ -141,6 +141,11 @@ type group struct {
 	repLanes []*queue.Lanes  // per-client fan-in over rep[*][i]
 	rep      [][]*queue.SPSC // reply lanes [shard][client]
 
+	// refuse is set by shutdown phase 1. Senders read it rather than a
+	// shard channel's flag: the sweeper closes a dead shard's channel
+	// (refusing it) before it marks the shard dead, and in that window a
+	// probe of the channels would make every client refuse.
+	refuse    atomic.Bool
 	dead      []atomic.Bool  // shard declared dead by the sweeper
 	circuits  []shardCircuit // per-shard quarantine state
 	shardActs []atomic.Int32 // actor id serving each shard (-1 until taken)
@@ -305,19 +310,6 @@ func (s *System) buildGroup() error {
 	s.replySPSC, s.replyAuto = true, false
 	s.grp = g
 	return nil
-}
-
-// refusing reports whether the group entered shutdown phase 1. A dead
-// shard's channel also refuses (the sweeper closed it), so the probe
-// reads the first live shard — shutdown refuses all of them, a shard
-// death only its own.
-func (g *group) refusing() bool {
-	for s := range g.recvs {
-		if !g.dead[s].Load() {
-			return g.recvs[s].refuse.Load()
-		}
-	}
-	return true // every shard dead: nothing can accept
 }
 
 // allDead reports whether every shard has been declared dead.
@@ -615,7 +607,7 @@ func (p *pickPort) Sem() core.SemID { return p.g.recvs[p.bind.cur].id }
 // Refusing implements core.PortState: shutdown, a sticky client's
 // dead pin, or a fully dead group all make new sends fail fast.
 func (p *pickPort) Refusing() bool {
-	if p.g.refusing() {
+	if p.g.refuse.Load() {
 		return true
 	}
 	if p.sticky && p.g.dead[p.pin()].Load() {

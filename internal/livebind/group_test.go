@@ -669,3 +669,30 @@ func TestBatchOversizedDeadlockFree(t *testing.T) {
 		t.Fatalf("Shutdown = %v", err)
 	}
 }
+
+// TestGroupShardDeathWindowKeepsSurvivorsSending pins the refusal probe
+// against the recovery sweeper's ordering: recoverLocked closes a dead
+// shard's channel (MarkPeerDead) before noteActorDead marks the shard
+// dead. In that window a client homed to a live shard must still be
+// able to send; only shutdown phase 1 refuses every client.
+func TestGroupShardDeathWindowKeepsSurvivorsSending(t *testing.T) {
+	sys, err := NewSystemGroup(2, Options{Alg: core.BSW, Clients: 2, NoSteal: true},
+		WithRecovery(RecoveryOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl1, err := sys.Client(1) // homed to shard 1 by the hash picker
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ShardChannel(0).MarkPeerDead()
+	if cl1.Srv.(core.PortState).Refusing() {
+		t.Fatal("client of live shard 1 refuses while shard 0's channel is closed")
+	}
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !cl1.Srv.(core.PortState).Refusing() {
+		t.Fatal("client still accepts sends after shutdown")
+	}
+}

@@ -295,13 +295,18 @@ func (r *recovery) sweep() {
 	// Lost-wake rescue: a channel that stays non-empty across two
 	// consecutive sweeps while its consumer is parked has plausibly
 	// lost a wake-up (dropped V, or a producer that died owing one);
-	// issue a compensating V. A spurious rescue is harmless — the
-	// protocols' token accounting absorbs redundant wake-ups — so the
-	// heuristic errs toward liveness.
+	// issue a compensating V. So has a parked consumer whose awake flag
+	// stays set: a producer's test-and-set promised it a V. That is the
+	// consumer of Figure 4's race fix, which found its message on the
+	// re-check and parks only to absorb the promised token — its queue
+	// is empty, and without the flag test a dropped V strands it. A
+	// spurious rescue is harmless — the protocols' token accounting
+	// absorbs redundant wake-ups — so the heuristic errs toward
+	// liveness.
 	if !r.opts.NoRescue {
 		for _, cm := range r.chans {
 			ch := cm.ch
-			if ch.closed.Load() || ch.q.Empty() {
+			if ch.closed.Load() || (ch.q.Empty() && !ch.awake.Load()) {
 				cm.stuck = 0
 				continue
 			}

@@ -152,6 +152,46 @@ func TestDroppedWakeupsRescued(t *testing.T) {
 	}
 }
 
+// TestRescueParkedConsumerOwedAToken: Figure 4's race fix parks a
+// consumer that already holds its message, only to absorb the V a
+// producer's test-and-set promised. Its queue is empty, so if that V is
+// dropped only the awake flag shows the consumer is owed a wake-up —
+// and two sweeps must rescue it.
+func TestRescueParkedConsumerOwedAToken(t *testing.T) {
+	ms := metrics.NewSet()
+	sys, err := NewSystem(Options{Alg: core.BSW, Clients: 1, Metrics: ms},
+		WithRecovery(RecoveryOptions{SweepInterval: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Client(0); err != nil { // registers the reply channel's consumer
+		t.Fatal(err)
+	}
+	ch := sys.ReplyChannel(0)
+	ch.awake.Store(true) // a producer's TAS found it clear; its V is lost
+	released := make(chan struct{})
+	go func() {
+		ch.sem.P()
+		close(released)
+	}()
+	for ch.sem.Sleeping() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	sys.SweepNow()
+	sys.SweepNow()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked consumer owed a token was not rescued")
+	}
+	if n := ms.Total().WakeRescues; n != 1 {
+		t.Fatalf("WakeRescues = %d, want 1", n)
+	}
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+}
+
 // TestServerCrashRecovery is the end-to-end robustness path: an
 // injected crash kills the server inside the receive queue's locked
 // dequeue section. The harness reports the crash, the sweeper revokes

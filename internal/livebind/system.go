@@ -748,6 +748,9 @@ func (s *System) shutdownPhases(ctx context.Context) error {
 	// Phase 1: refuse new requests; replies stay open so in-flight
 	// requests still get answered.
 	s.notePhase(1)
+	if s.grp != nil {
+		s.grp.refuse.Store(true)
+	}
 	for _, ch := range s.requestChannels() {
 		ch.Refuse()
 	}

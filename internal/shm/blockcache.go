@@ -98,20 +98,19 @@ func (c *BlockCache) Alloc(n int) (BlockRef, []byte, bool, bool) {
 	return NilBlock, nil, false, refilled
 }
 
-// Free parks a block in its class's stash (clearing the lease tag);
-// when the stash reaches twice the batch size the cold half spills back
-// to the pool in one batched operation. spilled reports a spill
-// happened (metrics hook).
+// Free parks a block in its class's stash (ending its lease, so the
+// parked ref carries the slot's new generation); when the stash reaches
+// twice the batch size the cold half spills back to the pool in one
+// batched operation. spilled reports a spill happened (metrics hook).
 func (c *BlockCache) Free(r BlockRef) (spilled bool, err error) {
 	ci, _ := unpackBlock(r)
-	cls, slot, err := c.pool.class(r)
+	_, slot, err := c.pool.end(r)
 	if err != nil {
 		return false, err
 	}
-	cls.own[slot].Store(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refs[ci] = append(c.refs[ci], r)
+	c.refs[ci] = append(c.refs[ci], c.pool.stamp(ci, slot))
 	if len(c.refs[ci]) >= 2*c.batch {
 		if err := c.pool.FreeClassN(c.refs[ci][c.batch:]); err != nil {
 			return false, err

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 )
@@ -26,9 +27,20 @@ import (
 // (ReclaimOwner), and a receiver resolving a payload reference CASes
 // the tag to itself (Claim), so the reclaim and the resolution race to
 // a single winner instead of a double free.
+//
+// The tag shares a 64-bit word with the slot's lease generation, which
+// advances every time a lease ends (Free, ReclaimOwner, ReclaimAll) and
+// is stamped into every ref the slot hands out. A ref that outlives its
+// lease is stale: Claim, Get, Lease and Free refuse it even after the
+// slot has been reallocated and leased to someone else. Without the
+// stamp, a request still queued when the sweeper reclaimed its dead
+// sender's block could be claimed (and freed) out from under the block's
+// next holder.
 
 // BlockRef is a position-independent reference to an allocated block:
-// the size class in the high 8 bits, the slot index in the low 24.
+// the size class in the high 8 bits, and in the low 24 the slot index
+// with the slot's lease generation stamped above it (as many generation
+// bits as the arena's slot count leaves free).
 type BlockRef = uint32
 
 // NilBlock is the null block reference.
@@ -68,8 +80,9 @@ const MaxBlockClasses = 4
 var DefaultBlockSizes = []int{64, 256, 1024, 4096}
 
 // BlockLayout is the computed region map of a slab arena: per class a
-// control block, a free-list link array, a lease-tag array, and the
-// slot storage, each 64-byte aligned.
+// control block, a free-list link array, a lease-word array (generation
+// and tag, 8 bytes per slot), and the slot storage, each 64-byte
+// aligned.
 type BlockLayout struct {
 	Sizes []int
 	Count int // slots per class
@@ -106,7 +119,7 @@ func BlockLayoutFor(sizes []int, countPerClass int) (BlockLayout, error) {
 		l.linkOff = append(l.linkOff, off)
 		off += align64(countPerClass * 4)
 		l.ownOff = append(l.ownOff, off)
-		off += align64(countPerClass * 4)
+		off += align64(countPerClass * 8)
 		l.dataOff = append(l.dataOff, off)
 		off += align64(countPerClass * size)
 	}
@@ -120,7 +133,7 @@ type slabClass struct {
 	count int
 	ctl   *blockCtl
 	next  []atomic.Uint32 // free-list links, indexed by slot
-	own   []atomic.Uint32 // lease tags: owner+1, 0 = unleased
+	own   []atomic.Uint64 // lease words: generation<<32 | tag (owner+1, 0 = unleased)
 	data  []byte
 }
 
@@ -219,19 +232,25 @@ func (c *slabClass) pushN(slots []uint32) {
 type BlockPool struct {
 	classes []slabClass
 	lay     BlockLayout
+
+	genShift uint   // index bits in a ref's slot field
+	idxMask  uint32 // slot index mask
+	genMask  uint32 // generation bits a ref carries
 }
 
 // viewBlockPool builds the typed views over an arena region. It does
 // not initialise the region — mappers view an already-formatted arena.
 func viewBlockPool(mem []byte, lay BlockLayout) *BlockPool {
-	p := &BlockPool{lay: lay}
+	p := &BlockPool{lay: lay, genShift: uint(bits.Len32(uint32(lay.Count - 1)))}
+	p.idxMask = 1<<p.genShift - 1
+	p.genMask = 1<<(24-p.genShift) - 1
 	for ci, size := range lay.Sizes {
 		p.classes = append(p.classes, slabClass{
 			size:  size,
 			count: lay.Count,
 			ctl:   (*blockCtl)(unsafe.Pointer(&mem[lay.ctlOff[ci]])),
 			next:  unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&mem[lay.linkOff[ci]])), lay.Count),
-			own:   unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&mem[lay.ownOff[ci]])), lay.Count),
+			own:   unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&mem[lay.ownOff[ci]])), lay.Count),
 			data:  mem[lay.dataOff[ci] : lay.dataOff[ci]+lay.Count*size : lay.dataOff[ci]+lay.Count*size],
 		})
 	}
@@ -319,7 +338,7 @@ func (p *BlockPool) Alloc(n int) (BlockRef, []byte, bool) {
 			if ci > first {
 				c.ctl.Fallbacks.Add(1)
 			}
-			return packBlock(ci, int(slot)), c.block(slot), true
+			return p.stamp(ci, slot), c.block(slot), true
 		}
 		c.ctl.Exhausts.Add(1)
 	}
@@ -337,14 +356,15 @@ func (p *BlockPool) AllocClassN(class int, dst []BlockRef) int {
 	tmp := make([]uint32, len(dst))
 	n := c.popN(tmp)
 	for i := 0; i < n; i++ {
-		dst[i] = packBlock(class, int(tmp[i]))
+		dst[i] = p.stamp(class, tmp[i])
 	}
 	return n
 }
 
 // FreeClassN returns a batch of same-class blocks with a single CAS,
-// clearing their lease tags (mirrors Pool.FreeN). Refs from different
-// classes are rejected.
+// ending their leases (mirrors Pool.FreeN). A batch with a ref from
+// another class is rejected whole; a stale ref (a double free) stops
+// the batch there, returning only the refs before it.
 func (p *BlockPool) FreeClassN(refs []BlockRef) error {
 	if len(refs) == 0 {
 		return nil
@@ -353,51 +373,96 @@ func (p *BlockPool) FreeClassN(refs []BlockRef) error {
 	if class >= len(p.classes) {
 		return fmt.Errorf("shm: bad block class %d", class)
 	}
-	c := &p.classes[class]
-	slots := make([]uint32, len(refs))
-	for i, r := range refs {
-		cl, slot := unpackBlock(r)
-		if cl != class || slot >= c.count {
+	for _, r := range refs {
+		if cl, _ := unpackBlock(r); cl != class {
 			return fmt.Errorf("shm: FreeClassN ref %#x not in class %d", r, class)
 		}
-		slots[i] = uint32(slot)
 	}
-	for _, s := range slots {
-		c.own[s].Store(0)
+	slots := make([]uint32, 0, len(refs))
+	var err error
+	for _, r := range refs {
+		var slot uint32
+		if _, slot, err = p.end(r); err != nil {
+			break
+		}
+		slots = append(slots, slot)
 	}
-	c.pushN(slots)
-	return nil
+	p.classes[class].pushN(slots)
+	return err
 }
 
-func (p *BlockPool) class(r BlockRef) (*slabClass, int, error) {
-	class, slot := unpackBlock(r)
+// class resolves a ref to its size class, slot index and generation
+// stamp.
+func (p *BlockPool) class(r BlockRef) (*slabClass, uint32, uint32, error) {
+	class, field := unpackBlock(r)
 	if class >= len(p.classes) {
-		return nil, 0, fmt.Errorf("shm: bad block class %d", class)
+		return nil, 0, 0, fmt.Errorf("shm: bad block class %d", class)
 	}
 	c := &p.classes[class]
-	if slot >= c.count {
-		return nil, 0, fmt.Errorf("shm: bad block slot %d (class %d)", slot, class)
+	slot := uint32(field) & p.idxMask
+	if int(slot) >= c.count {
+		return nil, 0, 0, fmt.Errorf("shm: bad block slot %d (class %d)", slot, class)
 	}
-	return c, slot, nil
+	return c, slot, uint32(field) >> p.genShift, nil
+}
+
+// stamp builds the ref for slot of class ci under the slot's current
+// generation.
+func (p *BlockPool) stamp(ci int, slot uint32) BlockRef {
+	gen := uint32(p.classes[ci].own[slot].Load()>>32) & p.genMask
+	return packBlock(ci, int(gen<<p.genShift|slot))
+}
+
+// current reports whether lease word w is still the generation ref
+// stamp gen names.
+func (p *BlockPool) current(w uint64, gen uint32) bool {
+	return uint32(w>>32)&p.genMask == gen
+}
+
+func staleRef(r BlockRef) error { return fmt.Errorf("shm: stale block ref %#x", r) }
+
+// ended is the lease word after a lease on w's slot ends: tag cleared,
+// generation advanced, so every copy of the old ref goes stale.
+func ended(w uint64) uint64 { return uint64(uint32(w>>32)+1) << 32 }
+
+// end ends the lease r names without returning the slot to a free list
+// (the caller pushes it). A stale r — its slot already freed or
+// reclaimed since r was issued — is an error, not a second free.
+func (p *BlockPool) end(r BlockRef) (*slabClass, uint32, error) {
+	c, slot, gen, err := p.class(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	for {
+		w := c.own[slot].Load()
+		if !p.current(w, gen) {
+			return nil, 0, staleRef(r)
+		}
+		if c.own[slot].CompareAndSwap(w, ended(w)) {
+			return c, slot, nil
+		}
+	}
 }
 
 // Get returns the storage of an allocated block.
 func (p *BlockPool) Get(r BlockRef) ([]byte, error) {
-	c, slot, err := p.class(r)
+	c, slot, gen, err := p.class(r)
 	if err != nil {
 		return nil, err
 	}
-	return c.block(uint32(slot)), nil
+	if !p.current(c.own[slot].Load(), gen) {
+		return nil, staleRef(r)
+	}
+	return c.block(slot), nil
 }
 
-// Free returns a block to its class, clearing its lease tag.
+// Free returns a block to its class, ending its lease.
 func (p *BlockPool) Free(r BlockRef) error {
-	c, slot, err := p.class(r)
+	c, slot, err := p.end(r)
 	if err != nil {
 		return err
 	}
-	c.own[slot].Store(0)
-	c.push(uint32(slot))
+	c.push(slot)
 	return nil
 }
 
@@ -405,56 +470,65 @@ func (p *BlockPool) Free(r BlockRef) error {
 // The sweeper's ReclaimOwner uses the tag to return a dead endpoint's
 // blocks; Claim transfers it to a message's receiver.
 func (p *BlockPool) Lease(r BlockRef, owner uint32) error {
-	c, slot, err := p.class(r)
-	if err != nil {
-		return err
+	ok, err := p.retag(r, owner, false)
+	if err == nil && !ok {
+		err = staleRef(r)
 	}
-	c.own[slot].Store(owner + 1)
-	return nil
+	return err
 }
 
 // Claim transfers a block's lease to owner. It succeeds only while the
-// block is leased to someone — a cleared tag means a sweeper already
-// reclaimed it (the previous holder died), and the caller must treat
-// the payload as lost rather than use (or free) the recycled slot.
+// lease r names is live — a cleared tag or an advanced generation means
+// a sweeper already reclaimed it (the previous holder died, and the
+// slot may since have been leased to someone else), and the caller must
+// treat the payload as lost rather than use (or free) the slot.
 func (p *BlockPool) Claim(r BlockRef, owner uint32) bool {
-	c, slot, err := p.class(r)
+	ok, _ := p.retag(r, owner, true)
+	return ok
+}
+
+// retag CASes the tag of r's slot to owner+1 while r's generation is
+// the slot's and, with held set, while someone holds the lease.
+func (p *BlockPool) retag(r BlockRef, owner uint32, held bool) (bool, error) {
+	c, slot, gen, err := p.class(r)
 	if err != nil {
-		return false
+		return false, err
 	}
 	for {
-		cur := c.own[slot].Load()
-		if cur == 0 {
-			return false
+		w := c.own[slot].Load()
+		if !p.current(w, gen) || (held && uint32(w) == 0) {
+			return false, nil
 		}
-		if c.own[slot].CompareAndSwap(cur, owner+1) {
-			return true
+		if c.own[slot].CompareAndSwap(w, w>>32<<32|uint64(owner+1)) {
+			return true, nil
 		}
 	}
 }
 
 // Owner returns a block's lease tag (owner id, leased=true) for audits.
 func (p *BlockPool) Owner(r BlockRef) (uint32, bool) {
-	c, slot, err := p.class(r)
+	c, slot, gen, err := p.class(r)
 	if err != nil {
 		return 0, false
 	}
-	v := c.own[slot].Load()
-	if v == 0 {
+	w := c.own[slot].Load()
+	if uint32(w) == 0 || !p.current(w, gen) {
 		return 0, false
 	}
-	return v - 1, true
+	return uint32(w) - 1, true
 }
 
 // ReclaimOwner returns every block still leased to owner — the
-// sweeper's dead-peer pass. The tag CAS makes it race-free against a
-// surviving receiver Claiming the same block: exactly one side wins.
+// sweeper's dead-peer pass. The lease-word CAS makes it race-free
+// against a surviving receiver Claiming the same block: exactly one
+// side wins.
 func (p *BlockPool) ReclaimOwner(owner uint32) int {
 	n := 0
 	for ci := range p.classes {
 		c := &p.classes[ci]
 		for slot := range c.own {
-			if c.own[slot].CompareAndSwap(owner+1, 0) {
+			w := c.own[slot].Load()
+			if uint32(w) == owner+1 && c.own[slot].CompareAndSwap(w, ended(w)) {
 				c.push(uint32(slot))
 				n++
 			}
@@ -482,7 +556,7 @@ func (p *BlockPool) ReclaimAll() (int, error) {
 		}
 		for slot := 0; slot < c.count; slot++ {
 			if !seen[slot] {
-				c.own[slot].Store(0)
+				c.own[slot].Store(ended(c.own[slot].Load()))
 				c.push(uint32(slot))
 				orphans++
 			}

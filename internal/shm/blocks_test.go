@@ -365,3 +365,114 @@ func TestBlockConcurrentCrossClassStress(t *testing.T) {
 		}
 	}
 }
+
+// A ref that outlived its lease must stay dead after its slot is
+// reused. The sequence is the overload-kill cell's: a dead sender's
+// request is still queued when the sweeper reclaims its block, a
+// survivor's next allocation gets the same slot, and the server then
+// sheds the stale request — its claim-free must not take the block out
+// from under the survivor (who frees it too: a double push, a free-list
+// cycle). Checked over the heap arena and the segment arena.
+func TestBlockStaleRefAfterReuse(t *testing.T) {
+	const victim, survivor, server = 1, 2, 3
+	seg, err := NewHeapSeg(SegConfig{Clients: 1, Nodes: 16, RingCap: 4, Blocks: 4, BlockSizes: []int{64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	v, err := seg.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := NewBlockPool([]int{64}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*BlockPool{"heap": heap, "segment": v.Blocks} {
+		stale, b1, _ := p.Alloc(64)
+		if err := p.Lease(stale, victim); err != nil {
+			t.Fatal(err)
+		}
+		if n := p.ReclaimOwner(victim); n != 1 {
+			t.Fatalf("%s: reclaimed %d, want 1", name, n)
+		}
+		fresh, b2, _ := p.Alloc(64)
+		if &b1[0] != &b2[0] {
+			t.Fatalf("%s: reallocation did not reuse the reclaimed slot", name)
+		}
+		if err := p.Lease(fresh, survivor); err != nil {
+			t.Fatal(err)
+		}
+		if p.Claim(stale, server) {
+			t.Errorf("%s: stale ref claimed from the slot's next holder", name)
+		}
+		if err := p.Free(stale); err == nil {
+			t.Errorf("%s: stale ref freed", name)
+		}
+		if owner, ok := p.Owner(fresh); !ok || owner != survivor {
+			t.Errorf("%s: owner = %d/%v, want the survivor %d", name, owner, ok, survivor)
+		}
+		if err := p.Free(fresh); err != nil {
+			t.Errorf("%s: free by the holder: %v", name, err)
+		}
+		if free := p.TotalFree(); free != int64(p.Capacity()) {
+			t.Errorf("%s: total free = %d, want %d", name, free, p.Capacity())
+		}
+	}
+}
+
+// A block cache parks freed blocks instead of returning them, but the
+// lease still ends at the park: a ref freed into the cache goes stale
+// when the cache hands the slot out again, and freeing it twice is
+// refused rather than parking the slot twice.
+func TestBlockCacheEndsLeases(t *testing.T) {
+	p, err := NewBlockPool([]int{64}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.NewBlockCache(2)
+	r1, b1, ok, refilled := c.Alloc(64)
+	if !ok || !refilled {
+		t.Fatalf("first cache alloc: ok=%v refilled=%v", ok, refilled)
+	}
+	if err := p.Lease(r1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Free(r1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Free(r1); err == nil {
+		t.Error("double free into the cache accepted")
+	}
+	r2, b2, ok, _ := c.Alloc(64)
+	if !ok || &b1[0] != &b2[0] {
+		t.Fatal("cache did not hand the parked slot out again")
+	}
+	if r2 == r1 || p.Claim(r1, 2) {
+		t.Errorf("the slot's old ref %#x still claimable as %#x", r1, r2)
+	}
+	held := []BlockRef{r2}
+	for i := 0; i < 4; i++ {
+		r, _, ok, _ := c.Alloc(64)
+		if !ok {
+			t.Fatal("cache alloc failed")
+		}
+		held = append(held, r)
+	}
+	spills := 0
+	for _, r := range held { // parking past twice the batch spills
+		spilled, err := c.Free(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spilled {
+			spills++
+		}
+	}
+	if spills == 0 {
+		t.Error("no spill after parking five blocks with batch 2")
+	}
+	if c.Drain(); c.Len() != 0 || p.TotalFree() != int64(p.Capacity()) {
+		t.Fatalf("after drain: cache holds %d, pool free %d of %d", c.Len(), p.TotalFree(), p.Capacity())
+	}
+}

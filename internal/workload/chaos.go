@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ulipc/internal/core"
@@ -138,6 +139,115 @@ type ChaosResult struct {
 	Shards int `json:"shards,omitempty"`
 }
 
+// chaosRun is a chaos cell: the harness cell plus the tallies the
+// chaos report adds.
+type chaosRun struct {
+	*cell
+	res       ChaosResult
+	completed atomic.Int64 // validated round trips
+	aborted   atomic.Int64 // clients that ended early on peer death or shutdown
+
+	posMu sync.Mutex
+	pos   []string // per-client script position (classic cells)
+}
+
+// newChaosRun wraps sys in a chaos cell. Chaos cells tolerate a
+// Shutdown drain that times out: a killed participant's requests may
+// outlive it.
+func newChaosRun(cfg ChaosConfig, sys *livebind.System, res ChaosResult) *chaosRun {
+	c := newCell(sys, cfg.Alg, cfg.Clients, cfg.Watchdog)
+	c.lenient = true
+	return &chaosRun{cell: c, res: res}
+}
+
+// newChaosSystem builds the scalar chaos topology: two-lock queues on
+// BOTH legs, so every enqueue and dequeue walks the recoverable
+// critical sections (the SPSC reply default has no locks, nothing to
+// crash in) and every node pool is auditable after teardown, with the
+// recovery sweeper on.
+func newChaosSystem(cfg ChaosConfig, opts ...livebind.Option) (*livebind.System, error) {
+	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
+	return livebind.NewSystem(livebind.Options{
+		Alg:        cfg.Alg,
+		MaxSpin:    maxSpin,
+		Clients:    cfg.Clients,
+		QueueCap:   cfg.QueueCap,
+		QueueKind:  queue.KindTwoLock,
+		BlockSlots: blockSlots(cfg.PaySize, cfg.Clients, 0),
+		SleepScale: time.Millisecond,
+		Metrics:    metrics.NewSet(),
+	}, append(opts,
+		livebind.WithReplyKind(queue.KindTwoLock),
+		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: cfg.SweepInterval}))...)
+}
+
+// endOfRound classifies a client's failed protocol call: injected peer
+// death and shutdown end the participant gracefully (it aborts, and
+// endOfRound reports true); a watchdog expiry is the deadlock the cell
+// exists to detect (the harness marks the cell tripped); anything else
+// is a bug.
+func (r *chaosRun) endOfRound(who string, err error) bool {
+	switch {
+	case errors.Is(err, core.ErrPeerDead), errors.Is(err, core.ErrShutdown):
+		r.aborted.Add(1)
+		return true
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	default:
+		r.noteErr("%s: %v", who, err)
+	}
+	return false
+}
+
+// serverErr notes a serve-loop error unless it is one a chaos cell
+// expects: peer death, shutdown, or the harness's own cancellation.
+func (r *chaosRun) serverErr(who string, err error) {
+	if err != nil && !errors.Is(err, core.ErrPeerDead) && !errors.Is(err, core.ErrShutdown) &&
+		!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		r.noteErr("%s: %v", who, err)
+	}
+}
+
+func (r *chaosRun) setPos(i int, s string) {
+	r.posMu.Lock()
+	r.pos[i] = s
+	r.posMu.Unlock()
+}
+
+// report fills the result after teardown: recovery tallies, the
+// auditor's leak counts, and the failure list (a deadlock first, then
+// the cell's own errors and the auditor's).
+func (r *chaosRun) report() (ChaosResult, error) {
+	t := r.ms.Total()
+	res := &r.res
+	res.Completed = r.completed.Load()
+	res.Aborted = int(r.aborted.Load())
+	res.PeerDeaths = t.PeerDeaths
+	res.LockReclaims = t.LockReclaims
+	res.OrphanMsgs = t.OrphanMsgs
+	res.OrphanRefs = t.OrphanRefs
+	res.OrphanBlocks = t.OrphanBlocks
+	res.WakeRescues = t.WakeRescues
+	res.Deadlocked = r.tripped
+	res.PoolLeaked, res.BlockLeaked = r.poolLeaked, r.blockLeaked
+
+	var fail []string
+	if r.tripped {
+		stuck := "deadlocked: watchdog expired with participants blocked"
+		if r.pos != nil {
+			r.posMu.Lock()
+			stuck += fmt.Sprintf(" (clients: %v)", r.pos)
+			r.posMu.Unlock()
+		}
+		fail = append(fail, stuck)
+	}
+	fail = append(fail, r.errs...)
+	if len(fail) > 0 {
+		res.Error = fmt.Sprintf("%v", fail)
+		return *res, fmt.Errorf("chaos cell %s: %v", res.Label, fail)
+	}
+	return *res, nil
+}
+
 // RunChaosCell executes one seeded chaos cell and returns its result.
 // The returned error is non-nil when the cell violated a hard
 // invariant: deadlock, a pool leak, a validation mismatch, or a panic
@@ -161,84 +271,33 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 		plan.Crash[p] = cfg.CrashRate
 	}
 	inj := fault.NewInjector(plan)
-	ms := metrics.NewSet()
-
-	// Two-lock queues on BOTH legs: the chaos cell wants every enqueue
-	// and dequeue walking the recoverable critical sections, so the SPSC
-	// reply default (no locks, nothing to crash in) is deliberately
-	// overridden.
-	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
-	blockSlots := 0
-	if cfg.PaySize > 0 {
-		blockSlots = 4 * (cfg.Clients + 1)
-		if blockSlots < 32 {
-			blockSlots = 32
-		}
-	}
-	sys, err := livebind.NewSystem(livebind.Options{
-		Alg:        cfg.Alg,
-		MaxSpin:    maxSpin,
-		Clients:    cfg.Clients,
-		QueueCap:   cfg.QueueCap,
-		QueueKind:  queue.KindTwoLock,
-		BlockSlots: blockSlots,
-		SleepScale: time.Millisecond,
-		Metrics:    ms,
-	},
-		livebind.WithReplyKind(queue.KindTwoLock),
-		livebind.WithFaults(inj),
-		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: cfg.SweepInterval}),
-	)
+	sys, err := newChaosSystem(cfg, livebind.WithFaults(inj))
 	if err != nil {
 		return ChaosResult{}, err
 	}
-
 	label := fmt.Sprintf("chaos/%s/%dc/seed%d", cfg.Alg, cfg.Clients, cfg.Seed)
 	if cfg.PaySize > 0 {
 		label += fmt.Sprintf("/p%d", cfg.PaySize)
 	}
-	res := ChaosResult{
+	// Handles are created server first: actor creation order picks each
+	// actor's fault stream, so the order is part of what a seed replays.
+	srv := sys.Server()
+	cls, err := handles(cfg.Clients, sys.Client)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	r := newChaosRun(cfg, sys, ChaosResult{
 		Label:   label,
 		Alg:     cfg.Alg.String(),
 		Clients: cfg.Clients,
 		Seed:    cfg.Seed,
 		PaySize: cfg.PaySize,
-	}
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
+	})
+	// pos tracks each client's script position (last protocol call) so a
+	// deadlocked cell can name who was stuck where — the first question
+	// any chaos failure raises.
+	r.pos = make([]string, cfg.Clients)
 
-	var (
-		mu        sync.Mutex
-		completed int64
-		aborted   int
-		deadlock  bool
-		hardErrs  []string
-	)
-	noteErr := func(format string, args ...any) {
-		mu.Lock()
-		if len(hardErrs) < 8 {
-			hardErrs = append(hardErrs, fmt.Sprintf(format, args...))
-		}
-		mu.Unlock()
-	}
-	// endOfRound classifies a client's failed protocol call: injected
-	// peer death and shutdown end the participant gracefully; a watchdog
-	// expiry is the deadlock the cell exists to detect; anything else is
-	// a bug.
-	endOfRound := func(who string, err error) {
-		switch {
-		case errors.Is(err, core.ErrPeerDead), errors.Is(err, core.ErrShutdown):
-			mu.Lock()
-			aborted++
-			mu.Unlock()
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			mu.Lock()
-			deadlock = true
-			mu.Unlock()
-		default:
-			noteErr("%s: %v", who, err)
-		}
-	}
 	// survive wraps a participant body: an injected crash panic is
 	// reported to the lifetable (the FUTEX_OWNER_DIED analogue) and the
 	// goroutine dies in place; any other panic is a real bug.
@@ -255,57 +314,33 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 
 	// The server's exit is NOT a liveness criterion: a crashed client
 	// never disconnects, so a correct server legitimately waits for work
-	// until the harness cancels it. Only non-ctx, non-peer-death server
-	// errors are bugs.
-	srv := sys.Server()
-	// Payload cells route echoes through the OpWork handler so the
-	// server side of the lease discipline (claim + re-attach) is under
-	// fire too: a crash between the claim and the reply leaves the block
-	// tagged by the server, which only the sweeper's owner walk can
-	// recover.
-	var work func(*core.Msg)
-	if cfg.PaySize > 0 {
-		work = func(m *core.Msg) {
-			p, err := srv.Payload(*m)
-			if err != nil {
-				m.ClearBlock()
-				return
-			}
-			m.AttachPayload(p)
-		}
-	}
-	serverDone := make(chan struct{})
-	go func() {
-		defer close(serverDone)
+	// until teardown releases it. It serves on after its connected count
+	// drops to zero, too — the clients start unsynchronised, and a
+	// straggler may connect after the others have disconnected. Payload
+	// cells route echoes through the OpWork handler so the server side
+	// of the lease discipline (claim + re-attach) is under fire too: a
+	// crash between the claim and the reply leaves the block tagged by
+	// the server, which only the sweeper's owner walk can recover.
+	r.server(func() {
 		survive(func() {
-			_, err := srv.ServeCtx(rootCtx, work)
-			if err != nil && !errors.Is(err, core.ErrPeerDead) && !errors.Is(err, core.ErrShutdown) &&
-				!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				noteErr("server: %v", err)
+			for {
+				_, err := srv.ServeCtx(r.ctx, payWork(srv, cfg.PaySize, false))
+				r.serverErr("server", err)
+				if err != nil || srv.Rcv.(core.PortState).Closed() {
+					return
+				}
 			}
 		})
-	}()
+	})
 
-	// pos tracks each client's script position (last protocol call) so a
-	// deadlocked cell can name who was stuck where — the first question
-	// any chaos failure raises.
-	pos := make([]string, cfg.Clients)
-	setPos := func(i int, s string) { mu.Lock(); pos[i] = s; mu.Unlock() }
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return res, err
-		}
-		wg.Add(1)
-		go func(i int, cl *core.Client) {
-			defer wg.Done()
+	for i, cl := range cls {
+		r.client(func() {
 			fh := cl.A.(*livebind.Actor).FH
 			survive(func() {
-				// An injected crash (panic) deliberately skips closePE so
-				// the dead client strands its lease — the sweeper's owner
-				// walk must recover it or the block audit fails the cell.
+				// An injected crash (panic) deliberately skips pe.close
+				// so the dead client strands its lease — the sweeper's
+				// owner walk must recover it or the block audit fails
+				// the cell.
 				var pe *payEcho
 				if cfg.PaySize > 0 {
 					pe = &payEcho{cl: cl, size: cfg.PaySize}
@@ -315,161 +350,60 @@ func RunChaosCell(cfg ChaosConfig) (ChaosResult, error) {
 						pe.close()
 					}
 				}
-				setPos(i, "connect")
-				if _, err := cl.SendCtx(rootCtx, core.Msg{Op: core.OpConnect}); err != nil {
-					setPos(i, fmt.Sprintf("connect-err:%v", err))
-					endOfRound(fmt.Sprintf("client%d connect", i), err)
+				r.setPos(i, "connect")
+				if _, err := cl.SendCtx(r.ctx, core.Msg{Op: core.OpConnect}); err != nil {
+					r.setPos(i, fmt.Sprintf("connect-err:%v", err))
+					r.endOfRound(fmt.Sprintf("client%d connect", i), err)
 					return
 				}
 				for j := 0; j < cfg.Msgs; j++ {
 					fh.Crashpoint(fault.PtBody)
-					setPos(i, fmt.Sprintf("send %d", j))
+					r.setPos(i, fmt.Sprintf("send %d", j))
 					m := core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}
 					var ans core.Msg
 					var err error
 					if pe != nil {
 						m.Op = core.OpWork
-						ans, err = pe.echo(rootCtx, m)
+						ans, err = pe.echo(r.ctx, m)
 					} else {
-						ans, err = cl.SendCtx(rootCtx, m)
+						ans, err = cl.SendCtx(r.ctx, m)
 					}
 					if err != nil {
-						setPos(i, fmt.Sprintf("send %d err:%v", j, err))
+						r.setPos(i, fmt.Sprintf("send %d err:%v", j, err))
 						closePE()
-						endOfRound(fmt.Sprintf("client%d send %d", i, j), err)
+						r.endOfRound(fmt.Sprintf("client%d send %d", i, j), err)
 						return
 					}
-					if ans.Seq != int32(j) || ans.Val != float64(j) {
-						noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+					if !echoed(ans, j) {
+						r.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
 						closePE()
 						return
 					}
-					mu.Lock()
-					completed++
-					mu.Unlock()
+					r.completed.Add(1)
 				}
 				closePE()
-				setPos(i, "disconnect")
-				if _, err := cl.SendCtx(rootCtx, core.Msg{Op: core.OpDisconnect}); err != nil {
-					setPos(i, fmt.Sprintf("disconnect-err:%v", err))
-					endOfRound(fmt.Sprintf("client%d disconnect", i), err)
+				r.setPos(i, "disconnect")
+				if _, err := cl.SendCtx(r.ctx, core.Msg{Op: core.OpDisconnect}); err != nil {
+					r.setPos(i, fmt.Sprintf("disconnect-err:%v", err))
+					r.endOfRound(fmt.Sprintf("client%d disconnect", i), err)
 					return
 				}
-				setPos(i, "done")
+				r.setPos(i, "done")
 			})
-			mu.Lock()
-			pos[i] += " [exited]"
-			mu.Unlock()
-		}(i, cl)
+			r.posMu.Lock()
+			r.pos[i] += " [exited]"
+			r.posMu.Unlock()
+		})
 	}
-
-	// Join the clients with a grace period past the watchdog: rootCtx
-	// expiry should unblock everyone, so a client still stuck after the
-	// grace is a hard hang even the context could not break. Then cancel
-	// the root context to release the server (which may be correctly
-	// waiting for crashed clients that will never disconnect) and hold it
-	// to the same grace.
-	joined := make(chan struct{})
-	go func() { wg.Wait(); close(joined) }()
-	select {
-	case <-joined:
-	case <-time.After(cfg.Watchdog + 5*time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "clients still blocked past watchdog+grace")
-		mu.Unlock()
-	}
-	cancel()
-	select {
-	case <-serverDone:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "server still blocked after cancellation")
-		mu.Unlock()
-	}
-
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	serr := sys.Shutdown(shutCtx) // halts the sweeper after a final sweep
-	shutCancel()
-	if serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
-		noteErr("shutdown: %v", serr)
-	}
-
-	// Pool-leak audit: drain what teardown left queued, then every
-	// two-lock pool must be whole again — capacity free refs (the +1 of
-	// the pool is the queue's resident dummy). A dead actor's lock,
-	// cached ref, or unlinked node that escaped recovery shows up here.
-	pool := sys.Blocks()
-	audit := func(ch *livebind.Channel) {
-		tl, ok := ch.Queue().(*queue.TwoLock)
-		if !ok {
-			return
-		}
-		if pool != nil {
-			// Teardown leftovers may still carry payload leases (a reply
-			// to a crashed client the sweeper had no reason to drain):
-			// claim-free them alongside their nodes, same race-safe rule
-			// as the sweeper's own drain.
-			const auditOwner = ^uint32(0)
-			queue.DrainFunc(tl, func(m core.Msg) {
-				if !m.HasBlock() {
-					return
-				}
-				if ref, _ := m.Block(); pool.Claim(ref, auditOwner) {
-					_ = pool.Free(ref)
-				}
-			})
-		} else {
-			queue.Drain(tl)
-		}
-		res.PoolLeaked += int64(tl.Cap()) - tl.Pool().FreeCount()
-	}
-	audit(sys.ReceiveChannel())
-	for i := 0; i < cfg.Clients; i++ {
-		audit(sys.ReplyChannel(i))
-	}
-	// Lease-conservation audit: with queues drained, crashes reclaimed
-	// and caches spilled, every payload block must be back in the arena.
-	if pool != nil {
-		res.BlockLeaked = int64(pool.Capacity()) - pool.TotalFree()
-	}
+	r.joinClients()
+	r.teardown()
 
 	counts := inj.Counts()
-	total := ms.Total()
-	res.Completed = completed
-	res.Aborted = aborted
-	res.Crashes = counts.Crashes
-	res.WakeDrops = counts.WakeDrops
-	res.WakeDups = counts.WakeDups
-	res.WakeDelays = counts.WakeDelays
-	res.PeerDeaths = total.PeerDeaths
-	res.LockReclaims = total.LockReclaims
-	res.OrphanMsgs = total.OrphanMsgs
-	res.OrphanRefs = total.OrphanRefs
-	res.OrphanBlocks = total.OrphanBlocks
-	res.WakeRescues = total.WakeRescues
-	res.Deadlocked = deadlock
-
-	var fail []string
-	if deadlock {
-		mu.Lock()
-		stuck := fmt.Sprintf("deadlocked: watchdog expired with participants blocked (clients: %v)", pos)
-		mu.Unlock()
-		fail = append(fail, stuck)
-	}
-	if res.PoolLeaked != 0 {
-		fail = append(fail, fmt.Sprintf("pool leak: %d refs unaccounted for", res.PoolLeaked))
-	}
-	if res.BlockLeaked != 0 {
-		fail = append(fail, fmt.Sprintf("payload leak: %d blocks unaccounted for", res.BlockLeaked))
-	}
-	fail = append(fail, hardErrs...)
-	if len(fail) > 0 {
-		res.Error = fmt.Sprintf("%v", fail)
-		return res, fmt.Errorf("chaos cell %s: %v", res.Label, fail)
-	}
-	return res, nil
+	r.res.Crashes = counts.Crashes
+	r.res.WakeDrops = counts.WakeDrops
+	r.res.WakeDups = counts.WakeDups
+	r.res.WakeDelays = counts.WakeDelays
+	return r.report()
 }
 
 // RunChaosShardKill runs the server-group fault cell: a sharded system
@@ -492,7 +426,6 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 		return ChaosResult{}, fmt.Errorf("workload: shard-kill cell needs a client per shard")
 	}
 	const batch = 8
-	ms := metrics.NewSet()
 	groupSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
 	sys, err := livebind.NewSystemGroup(shards, livebind.Options{
 		Alg:        cfg.Alg,
@@ -501,61 +434,41 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 		QueueCap:   cfg.QueueCap,
 		SleepScale: time.Millisecond,
 		NoSteal:    true,
-		Metrics:    ms,
+		Metrics:    metrics.NewSet(),
 	},
 		livebind.WithRecovery(livebind.RecoveryOptions{SweepInterval: cfg.SweepInterval}),
 	)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-
-	res := ChaosResult{
+	srvs, err := sys.ShardServers()
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	cls, err := handles(cfg.Clients, sys.Client)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	r := newChaosRun(cfg, sys, ChaosResult{
 		Label:   fmt.Sprintf("chaos/shardkill/%s/%dc/%ds", cfg.Alg, cfg.Clients, shards),
 		Alg:     cfg.Alg.String(),
 		Clients: cfg.Clients,
 		Seed:    cfg.Seed,
 		Shards:  shards,
-	}
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		mu        sync.Mutex
-		completed int64
-		aborted   int
-		deadlock  bool
-		hardErrs  []string
-	)
-	noteErr := func(format string, args ...any) {
-		mu.Lock()
-		if len(hardErrs) < 8 {
-			hardErrs = append(hardErrs, fmt.Sprintf(format, args...))
-		}
-		mu.Unlock()
-	}
+	})
 
 	const victim = 0
-	srvs, err := sys.ShardServers()
-	if err != nil {
-		return res, err
-	}
-	victimCtx, killVictim := context.WithCancel(rootCtx)
+	victimCtx, killVictim := context.WithCancel(r.ctx)
 	defer killVictim()
-	var swg sync.WaitGroup
-	for sh, srv := range srvs {
-		swg.Add(1)
-		go func(sh int, sv *core.Server) {
-			defer swg.Done()
-			ctx := rootCtx
+	for sh, sv := range srvs {
+		r.server(func() {
+			ctx := r.ctx
 			if sh == victim {
 				ctx = victimCtx
 			}
 			_, err := sv.ServeBatchCtx(ctx, nil, batch)
-			if err != nil && !errors.Is(err, core.ErrPeerDead) && !errors.Is(err, core.ErrShutdown) &&
-				!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				noteErr("shard%d: %v", sh, err)
-			}
-		}(sh, srv)
+			r.serverErr(fmt.Sprintf("shard%d", sh), err)
+		})
 	}
 
 	// Client i is homed to shard i%shards by the hash picker. Clients of
@@ -565,76 +478,41 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	// uninterrupted.
 	warm := make(chan struct{}, cfg.Clients)
 	killed := make(chan struct{})
-	sendBatch := func(cl *core.Client, base, k int) error {
-		msgs := make([]core.Msg, 0, k)
-		for q := 0; q < k; q++ {
-			msgs = append(msgs, core.Msg{Op: core.OpEcho, Seq: int32(base + q), Val: float64(base + q)})
-		}
-		out, err := cl.SendBatchCtx(rootCtx, msgs)
+	sendBatch := func(cl *core.Client, msgs []core.Msg, seen []bool, base, k int) error {
+		msgs = echoBatch(msgs, base, k)
+		out, err := cl.SendBatchCtx(r.ctx, msgs)
 		if err != nil {
 			return err
 		}
-		if len(out) != k {
-			return fmt.Errorf("%d replies, want %d", len(out), k)
+		if err := checkBatch(out, cl.ID, base, k, seen); err != nil {
+			return err
 		}
-		seen := make(map[int32]bool, k)
-		for _, m := range out {
-			if m.Client != cl.ID || m.Seq < int32(base) || m.Seq >= int32(base+k) ||
-				m.Val != float64(m.Seq) || seen[m.Seq] {
-				return fmt.Errorf("bad reply %+v", m)
-			}
-			seen[m.Seq] = true
-		}
-		mu.Lock()
-		completed += int64(k)
-		mu.Unlock()
+		r.completed.Add(int64(k))
 		return nil
 	}
 	victimClients := 0
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return res, err
-		}
+	for i, cl := range cls {
 		onVictim := i%shards == victim
 		if onVictim {
 			victimClients++
 		}
-		wg.Add(1)
-		go func(i int, cl *core.Client, onVictim bool) {
-			defer wg.Done()
+		r.client(func() {
+			msgs, seen := make([]core.Msg, 0, batch), make([]bool, batch)
 			j := 0
 			if onVictim {
-				if err := sendBatch(cl, j, batch); err != nil {
-					noteErr("client%d warm-up: %v", i, err)
-					warm <- struct{}{}
+				err := sendBatch(cl, msgs, seen, j, batch)
+				warm <- struct{}{}
+				if err != nil {
+					r.noteErr("client%d warm-up: %v", i, err)
 					return
 				}
 				j += batch
-				warm <- struct{}{}
 				<-killed
 			}
 			for ; j < cfg.Msgs; j += batch {
-				k := batch
-				if j+k > cfg.Msgs {
-					k = cfg.Msgs - j
-				}
-				if err := sendBatch(cl, j, k); err != nil {
-					switch {
-					case errors.Is(err, core.ErrPeerDead), errors.Is(err, core.ErrShutdown):
-						mu.Lock()
-						aborted++
-						mu.Unlock()
-						if !onVictim {
-							noteErr("client%d (survivor, shard %d): spurious %v", i, i%shards, err)
-						}
-					case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-						mu.Lock()
-						deadlock = true
-						mu.Unlock()
-					default:
-						noteErr("client%d at %d: %v", i, j, err)
+				if err := sendBatch(cl, msgs, seen, j, min(batch, cfg.Msgs-j)); err != nil {
+					if r.endOfRound(fmt.Sprintf("client%d at %d", i, j), err) && !onVictim {
+						r.noteErr("client%d (survivor, shard %d): spurious %v", i, i%shards, err)
 					}
 					return
 				}
@@ -643,9 +521,9 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 				// A victim client whose post-kill sends all succeeded saw
 				// neither ErrPeerDead nor the recovery path — the kill
 				// landed after its script; the cell proves nothing then.
-				noteErr("client%d: completed despite its shard being killed", i)
+				r.noteErr("client%d: completed despite its shard being killed", i)
 			}
-		}(i, cl, onVictim)
+		})
 	}
 
 	// Crash the victim once each of its clients has a served warm-up
@@ -655,83 +533,32 @@ func RunChaosShardKill(cfg ChaosConfig, shards int) (ChaosResult, error) {
 	for w := 0; w < victimClients; w++ {
 		select {
 		case <-warm:
-		case <-rootCtx.Done():
-			mu.Lock()
-			deadlock = true
-			mu.Unlock()
+		case <-r.ctx.Done():
 		}
 	}
 	killVictim()
-	vid := srvs[victim].A.(*livebind.Actor).ID
-	sys.KillActor(vid)
+	sys.KillActor(srvs[victim].A.(*livebind.Actor).ID)
 	sys.SweepNow()
 	close(killed)
-
-	joined := make(chan struct{})
-	go func() { wg.Wait(); close(joined) }()
-	select {
-	case <-joined:
-	case <-time.After(cfg.Watchdog + 5*time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "clients still blocked past watchdog+grace")
-		mu.Unlock()
-	}
+	r.joinClients()
 
 	if !sys.ShardDead(victim) {
-		noteErr("shard %d not marked dead after kill", victim)
+		r.noteErr("shard %d not marked dead after kill", victim)
 	}
 	for sh := 1; sh < shards; sh++ {
 		if sys.ShardDead(sh) {
-			noteErr("surviving shard %d marked dead", sh)
+			r.noteErr("surviving shard %d marked dead", sh)
 		}
 	}
 	sys.SweepNow() // final orphan pass over the dead shard's lanes
 	if !sys.ShardChannel(victim).Queue().Empty() {
-		noteErr("dead shard %d still holds undrained requests", victim)
+		r.noteErr("dead shard %d still holds undrained requests", victim)
 	}
-
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	serr := sys.Shutdown(shutCtx)
-	shutCancel()
-	if serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
-		noteErr("shutdown: %v", serr)
+	if n := int(r.aborted.Load()); n != victimClients {
+		r.noteErr("aborted %d clients, want exactly the %d homed to the dead shard", n, victimClients)
 	}
-	cancel()
-	sdone := make(chan struct{})
-	go func() { swg.Wait(); close(sdone) }()
-	select {
-	case <-sdone:
-	case <-time.After(5 * time.Second):
-		mu.Lock()
-		deadlock = true
-		hardErrs = append(hardErrs, "surviving shards still blocked after shutdown")
-		mu.Unlock()
-	}
-
-	total := ms.Total()
-	res.Completed = completed
-	res.Aborted = aborted
-	res.PeerDeaths = total.PeerDeaths
-	res.LockReclaims = total.LockReclaims
-	res.OrphanMsgs = total.OrphanMsgs
-	res.OrphanRefs = total.OrphanRefs
-	res.WakeRescues = total.WakeRescues
-	res.Deadlocked = deadlock
-
-	var fail []string
-	if deadlock {
-		fail = append(fail, "deadlocked: watchdog expired with participants blocked")
-	}
-	if aborted != victimClients {
-		fail = append(fail, fmt.Sprintf("aborted %d clients, want exactly the %d homed to the dead shard", aborted, victimClients))
-	}
-	fail = append(fail, hardErrs...)
-	if len(fail) > 0 {
-		res.Error = fmt.Sprintf("%v", fail)
-		return res, fmt.Errorf("chaos cell %s: %v", res.Label, fail)
-	}
-	return res, nil
+	r.teardown()
+	return r.report()
 }
 
 // ChaosOptions configures a chaos sweep over the protocol matrix.
@@ -806,10 +633,20 @@ type ChaosReport struct {
 	Cells       []ChaosResult `json:"cells"`
 }
 
+// chaosSpec is one cell of a chaos sweep: its config (the sweep
+// assigns the seed), its runner, and its progress line.
+type chaosSpec struct {
+	cfg    ChaosConfig
+	run    func(ChaosConfig) (ChaosResult, error)
+	report func(ChaosResult) string
+}
+
 // RunChaosBench sweeps the protocol matrix under seeded fault
-// injection. Every cell runs to completion regardless of earlier
-// failures; the combined error names each violated cell. progress,
-// when non-nil, receives one line per cell.
+// injection: the classic cells, then the payload cells, the shard-kill
+// cells and the overload-kill cells, cell i seeded Seed+i. Every cell
+// runs to completion regardless of earlier failures; the combined
+// error names each violated cell. progress, when non-nil, receives one
+// line per cell.
 func RunChaosBench(opts ChaosOptions, progress io.Writer) (*ChaosReport, error) {
 	opts.defaults()
 	rep := &ChaosReport{
@@ -819,97 +656,51 @@ func RunChaosBench(opts ChaosOptions, progress io.Writer) (*ChaosReport, error) 
 		BaseSeed:    opts.Seed,
 		MsgsPerCli:  opts.Msgs,
 	}
-	var failures []error
-	cell := 0
-	for _, alg := range opts.Algs {
-		for _, n := range opts.Clients {
-			res, err := RunChaosCell(ChaosConfig{
-				Alg:       alg,
-				Clients:   n,
-				Msgs:      opts.Msgs,
-				Seed:      opts.Seed + int64(cell),
-				CrashRate: opts.CrashRate,
-				DropRate:  opts.DropRate,
-				DupRate:   opts.DupRate,
-				DelayRate: opts.DelayRate,
-				Watchdog:  opts.Watchdog,
-			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d/%d rtts, %d crashes, %d peer-deaths, %d reclaims, %d rescues\n",
-						res.Label, res.Completed, int64(n*opts.Msgs), res.Crashes,
-						res.PeerDeaths, res.LockReclaims+res.OrphanRefs, res.WakeRescues)
-				}
-			}
+	faulty := func(alg core.Algorithm, n, paySize int) ChaosConfig {
+		return ChaosConfig{
+			Alg:       alg,
+			Clients:   n,
+			Msgs:      opts.Msgs,
+			CrashRate: opts.CrashRate,
+			DropRate:  opts.DropRate,
+			DupRate:   opts.DupRate,
+			DelayRate: opts.DelayRate,
+			Watchdog:  opts.Watchdog,
+			PaySize:   paySize,
 		}
 	}
+	var specs []chaosSpec
+	for _, alg := range opts.Algs {
+		for _, n := range opts.Clients {
+			specs = append(specs, chaosSpec{faulty(alg, n, 0), RunChaosCell, func(res ChaosResult) string {
+				return fmt.Sprintf("%d/%d rtts, %d crashes, %d peer-deaths, %d reclaims, %d rescues",
+					res.Completed, int64(n*opts.Msgs), res.Crashes,
+					res.PeerDeaths, res.LockReclaims+res.OrphanRefs, res.WakeRescues)
+			}})
+		}
+	}
+	maxClients := opts.Clients[len(opts.Clients)-1]
 	for _, size := range opts.PaySizes {
 		if size <= 0 {
 			continue
 		}
 		for _, alg := range opts.Algs {
-			n := opts.Clients[len(opts.Clients)-1]
-			res, err := RunChaosCell(ChaosConfig{
-				Alg:       alg,
-				Clients:   n,
-				Msgs:      opts.Msgs,
-				Seed:      opts.Seed + int64(cell),
-				CrashRate: opts.CrashRate,
-				DropRate:  opts.DropRate,
-				DupRate:   opts.DupRate,
-				DelayRate: opts.DelayRate,
-				Watchdog:  opts.Watchdog,
-				PaySize:   size,
-			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d/%d rtts, %d crashes, %d orphan blocks, 0 leaked\n",
-						res.Label, res.Completed, int64(n*opts.Msgs), res.Crashes, res.OrphanBlocks)
-				}
-			}
+			specs = append(specs, chaosSpec{faulty(alg, maxClients, size), RunChaosCell, func(res ChaosResult) string {
+				return fmt.Sprintf("%d/%d rtts, %d crashes, %d orphan blocks, 0 leaked",
+					res.Completed, int64(maxClients*opts.Msgs), res.Crashes, res.OrphanBlocks)
+			}})
 		}
 	}
 	if !opts.NoShardKill {
 		for _, alg := range opts.Algs {
 			for _, shards := range opts.Shards {
-				clients := shards * 2
-				if max := opts.Clients[len(opts.Clients)-1]; clients < max {
-					clients = max
-				}
-				res, err := RunChaosShardKill(ChaosConfig{
-					Alg:      alg,
-					Clients:  clients,
-					Msgs:     opts.Msgs,
-					Seed:     opts.Seed + int64(cell),
-					Watchdog: opts.Watchdog,
-				}, shards)
-				cell++
-				if err != nil {
-					failures = append(failures, err)
-				}
-				rep.Cells = append(rep.Cells, res)
-				if progress != nil {
-					if err != nil {
-						fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-					} else {
-						fmt.Fprintf(progress, "%-24s ok: %d rtts, %d clients lost their shard, %d peer-deaths, %d orphans\n",
-							res.Label, res.Completed, res.Aborted, res.PeerDeaths, res.OrphanMsgs)
-					}
-				}
+				cfg := ChaosConfig{Alg: alg, Clients: max(shards*2, maxClients), Msgs: opts.Msgs, Watchdog: opts.Watchdog}
+				specs = append(specs, chaosSpec{cfg, func(c ChaosConfig) (ChaosResult, error) {
+					return RunChaosShardKill(c, shards)
+				}, func(res ChaosResult) string {
+					return fmt.Sprintf("%d rtts, %d clients lost their shard, %d peer-deaths, %d orphans",
+						res.Completed, res.Aborted, res.PeerDeaths, res.OrphanMsgs)
+				}})
 			}
 		}
 	}
@@ -917,32 +708,30 @@ func RunChaosBench(opts ChaosOptions, progress io.Writer) (*ChaosReport, error) 
 		// Full-tilt sends are cheap; the storm needs volume — with too few
 		// messages the blast is over before anything queues long enough to
 		// shed, and a cell that never overloads proves nothing.
-		overloadMsgs := opts.Msgs * 4
-		if overloadMsgs < 2000 {
-			overloadMsgs = 2000
-		}
 		for _, alg := range opts.Algs {
-			res, err := RunChaosOverloadKill(ChaosConfig{
-				Alg:      alg,
-				Clients:  4,
-				Msgs:     overloadMsgs,
-				Seed:     opts.Seed + int64(cell),
-				Watchdog: opts.Watchdog,
-				PaySize:  64,
-			})
-			cell++
-			if err != nil {
-				failures = append(failures, err)
-			}
-			rep.Cells = append(rep.Cells, res)
-			if progress != nil {
-				if err != nil {
-					fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
-				} else {
-					fmt.Fprintf(progress, "%-24s ok: %d rtts, %d sheds, %d rejects, %d orphan blocks, 0 leaked\n",
-						res.Label, res.Completed, res.Sheds, res.Overloads, res.OrphanBlocks)
-				}
-			}
+			cfg := ChaosConfig{Alg: alg, Clients: 4, Msgs: max(opts.Msgs*4, 2000), Watchdog: opts.Watchdog, PaySize: 64}
+			specs = append(specs, chaosSpec{cfg, RunChaosOverloadKill, func(res ChaosResult) string {
+				return fmt.Sprintf("%d rtts, %d sheds, %d rejects, %d orphan blocks, 0 leaked",
+					res.Completed, res.Sheds, res.Overloads, res.OrphanBlocks)
+			}})
+		}
+	}
+
+	var failures []error
+	for i, spec := range specs {
+		spec.cfg.Seed = opts.Seed + int64(i)
+		res, err := spec.run(spec.cfg)
+		rep.Cells = append(rep.Cells, res)
+		if err != nil {
+			failures = append(failures, err)
+		}
+		if progress == nil {
+			continue
+		}
+		if err != nil {
+			fmt.Fprintf(progress, "%-24s FAILED: %v\n", res.Label, err)
+		} else {
+			fmt.Fprintf(progress, "%-24s ok: %s\n", res.Label, spec.report(res))
 		}
 	}
 	return rep, errors.Join(failures...)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -128,17 +127,9 @@ func RunLive(cfg LiveConfig) (Result, error) {
 	if cfg.SleepScale == 0 {
 		cfg.SleepScale = time.Millisecond
 	}
-	blockSlots := 0
 	if cfg.PaySize > 0 {
 		if cfg.Shards > 0 {
 			return Result{}, fmt.Errorf("workload: payload cells not supported in group mode")
-		}
-		blockSlots = cfg.Blocks
-		if blockSlots <= 0 {
-			blockSlots = 4 * (cfg.Clients + 1)
-			if blockSlots < 32 {
-				blockSlots = 32
-			}
 		}
 		if cfg.Watchdog <= 0 {
 			cfg.Watchdog = 2 * time.Minute
@@ -149,7 +140,6 @@ func RunLive(cfg LiveConfig) (Result, error) {
 		replyKind = *cfg.ReplyKind
 	}
 	maxSpin, throttle := tuneFor(cfg.Alg, cfg.MaxSpin, cfg.Throttle)
-	ms := metrics.NewSet()
 	var observer *obs.Observer
 	if cfg.Observe {
 		observer = obs.New(obs.Config{RecorderCap: cfg.RecorderCap})
@@ -161,324 +151,65 @@ func RunLive(cfg LiveConfig) (Result, error) {
 			defer stop()
 		}
 	}
-	if cfg.Shards > 0 {
-		sys, err := livebind.NewSystemGroup(cfg.Shards, livebind.Options{
-			Alg:        cfg.Alg,
-			MaxSpin:    maxSpin,
-			Clients:    cfg.Clients,
-			QueueCap:   cfg.QueueCap,
-			AllocBatch: cfg.AllocBatch,
-			SpinIters:  cfg.SpinIters,
-			SleepScale: cfg.SleepScale,
-			NoSteal:    cfg.NoSteal,
-			Picker:     cfg.Picker,
-			Metrics:    ms,
-			Observer:   observer,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		return runLiveGroup(cfg, sys, ms)
-	}
-	sys, err := livebind.NewSystem(livebind.Options{
+	opts := livebind.Options{
 		Alg:        cfg.Alg,
 		MaxSpin:    maxSpin,
 		Clients:    cfg.Clients,
 		QueueCap:   cfg.QueueCap,
-		QueueKind:  cfg.QueueKind,
 		AllocBatch: cfg.AllocBatch,
-		BlockSlots: blockSlots,
 		SpinIters:  cfg.SpinIters,
-		Throttle:   throttle,
 		SleepScale: cfg.SleepScale,
-		Metrics:    ms,
+		Metrics:    metrics.NewSet(),
 		Observer:   observer,
-	}, livebind.WithReplyKind(replyKind))
+	}
+	if cfg.Shards > 0 {
+		opts.NoSteal, opts.Picker = cfg.NoSteal, cfg.Picker
+		sys, err := livebind.NewSystemGroup(cfg.Shards, opts)
+		if err != nil {
+			return Result{}, err
+		}
+		return runLiveGroup(cfg, sys)
+	}
+	opts.QueueKind, opts.Throttle = cfg.QueueKind, throttle
+	opts.BlockSlots = blockSlots(cfg.PaySize, cfg.Clients, cfg.Blocks)
+	sys, err := livebind.NewSystem(opts, livebind.WithReplyKind(replyKind))
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Watchdog > 0 {
-		return runLiveCtx(cfg, sys, ms)
-	}
-
-	var (
-		startMu  sync.Mutex
-		started  bool
-		start    time.Time
-		errsMu   sync.Mutex
-		errs     []string
-		serveEnd time.Time
-	)
-	noteStart := func() {
-		startMu.Lock()
-		if !started {
-			start = time.Now()
-			started = true
-		}
-		startMu.Unlock()
-	}
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-		errsMu.Unlock()
-	}
-
 	srv := sys.Server()
-	serverDone := make(chan int64, 1)
-	go func() {
-		served := srv.Serve(nil)
-		serveEnd = time.Now()
-		serverDone <- served
-	}()
-
-	var barrier sync.WaitGroup
-	barrier.Add(cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return Result{}, err
-		}
-		wg.Add(1)
-		go func(i int, cl *core.Client) {
-			defer wg.Done()
-			if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
-				noteErr("client%d: bad connect reply %+v", i, ans)
-			}
-			barrier.Done()
-			barrier.Wait()
-			noteStart()
-			for j := 0; j < cfg.Msgs; j++ {
-				ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)})
-				if ans.Seq != int32(j) || ans.Val != float64(j) {
-					noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
-				}
-			}
-			cl.Send(core.Msg{Op: core.OpDisconnect})
-			livebind.DrainPort(cl.Srv)
-		}(i, cl)
+	cls, err := handles(cfg.Clients, sys.Client)
+	if err != nil {
+		return Result{}, err
 	}
-	wg.Wait()
-	served := <-serverDone
-	for _, p := range srv.Replies {
-		livebind.DrainPort(p)
-	}
-
-	if len(errs) > 0 {
-		return Result{}, fmt.Errorf("workload: live validation failed: %v", errs)
-	}
-	total := int64(cfg.Clients * cfg.Msgs)
-	if served != total {
-		return Result{}, fmt.Errorf("workload: server served %d, want %d", served, total)
-	}
-	dur := serveEnd.Sub(start)
-	if dur <= 0 {
-		dur = time.Nanosecond
-	}
-	res := Result{
-		Label:      fmt.Sprintf("live/%s/%dc", cfg.Alg, cfg.Clients),
-		Throughput: float64(total) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(cfg.Msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  total,
-	}
-	if s, ok := ms.Find("server"); ok {
-		res.Server = s
-	}
-	res.Clients = ms.ByPrefix("client")
-	res.All = ms.Total()
-	res.Phase = phaseSnap(sys.Observer(), cfg.Alg)
-	return res, nil
-}
-
-// phaseSnap extracts the phase-histogram snapshot for the benchmarked
-// protocol (nil without an observer).
-func phaseSnap(o *obs.Observer, alg core.Algorithm) *obs.ProtoSnapshot {
-	if o == nil {
-		return nil
-	}
-	p := o.Proto(int(alg))
-	if p == nil {
-		return nil
-	}
-	s := p.Snapshot(alg.String())
-	return &s
-}
-
-// runLiveCtx is the watchdog variant of RunLive: the whole workload
-// runs on the context-threaded paths under cfg.Watchdog. A cell that
-// deadlocks (a protocol bug, a lost wake-up) trips the deadline instead
-// of hanging the process: every blocked participant returns
-// context.DeadlineExceeded, the system is shut down, and the partial
-// results come back alongside the error.
-func runLiveCtx(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, error) {
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		startMu  sync.Mutex
-		started  bool
-		start    time.Time
-		errsMu   sync.Mutex
-		errs     []string
-		serveEnd time.Time
-	)
-	noteStart := func() {
-		startMu.Lock()
-		if !started {
-			start = time.Now()
-			started = true
-		}
-		startMu.Unlock()
-	}
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-		errsMu.Unlock()
-	}
-
-	srv := sys.Server()
-	// Payload cells route requests through the OpWork handler: the
-	// server claims the request lease and re-attaches it to the reply
-	// (zero-copy), or pays the full re-alloc + memcpy (copy baseline).
-	var work func(*core.Msg)
-	if cfg.PaySize > 0 {
-		work = func(m *core.Msg) {
-			p, err := srv.Payload(*m)
+	c := newCell(sys, cfg.Alg, cfg.Clients, cfg.Watchdog)
+	c.dump = cfg.DumpOnWatchdog
+	var served int64
+	c.server(func() {
+		if cfg.Watchdog > 0 {
+			n, err := srv.ServeCtx(c.ctx, payWork(srv, cfg.PaySize, cfg.PayCopy))
 			if err != nil {
-				m.ClearBlock()
-				return
+				c.noteErr("server: %v", err)
 			}
-			if cfg.PayCopy {
-				q, err := srv.AllocPayload(p.Len())
-				if err == nil {
-					copy(q.Bytes(), p.Bytes())
-					_ = p.Release()
-					p = q
-				}
-			}
-			m.AttachPayload(p)
+			served = n
+		} else {
+			served = srv.Serve(nil)
 		}
-	}
-	serverDone := make(chan int64, 1)
-	go func() {
-		served, err := srv.ServeCtx(rootCtx, work)
-		if err != nil {
-			noteErr("server: %v", err)
-		}
-		serveEnd = time.Now()
-		serverDone <- served
-	}()
-
+		c.end = time.Now()
+	})
 	var barrier sync.WaitGroup
 	barrier.Add(cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return Result{}, err
-		}
-		wg.Add(1)
-		go func(i int, cl *core.Client) {
-			defer wg.Done()
-			defer livebind.DrainPort(cl.Srv)
-			// Each client derives its own child context: cancellation
-			// still fans out from rootCtx, but the per-message Err()
-			// polls hit a per-client mutex instead of contending on one
-			// shared context across every client goroutine.
-			cctx, ccancel := context.WithCancel(rootCtx)
-			defer ccancel()
-			if ans, err := cl.SendCtx(cctx, core.Msg{Op: core.OpConnect}); err != nil {
-				noteErr("client%d: connect: %v", i, err)
-				barrier.Done()
-				return
-			} else if ans.Op != core.OpConnect {
-				noteErr("client%d: bad connect reply %+v", i, ans)
+	for i, cl := range cls {
+		c.client(func() {
+			if cfg.Watchdog > 0 {
+				liveClientCtx(c, cfg, i, cl, &barrier)
+			} else {
+				liveClient(c, cfg, i, cl, &barrier)
 			}
-			barrier.Done()
-			barrier.Wait()
-			noteStart()
-			var pe *payEcho
-			if cfg.PaySize > 0 {
-				pe = &payEcho{cl: cl, size: cfg.PaySize}
-				if cfg.PayCopy {
-					pe.scratch = make([]byte, cfg.PaySize)
-				}
-				defer pe.close()
-			}
-			for j := 0; j < cfg.Msgs; j++ {
-				m := core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}
-				var ans core.Msg
-				var err error
-				if pe != nil {
-					m.Op = core.OpWork
-					ans, err = pe.echo(cctx, m)
-				} else {
-					ans, err = cl.SendCtx(cctx, m)
-				}
-				if err != nil {
-					noteErr("client%d: send %d: %v", i, j, err)
-					return
-				}
-				if ans.Seq != int32(j) || ans.Val != float64(j) {
-					noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
-				}
-			}
-			if pe != nil {
-				pe.close()
-			}
-			if _, err := cl.SendCtx(cctx, core.Msg{Op: core.OpDisconnect}); err != nil {
-				noteErr("client%d: disconnect: %v", i, err)
-			}
-		}(i, cl)
+		})
 	}
-	wg.Wait()
-	// Flight-recorder dump on a tripped watchdog: the ring holds the
-	// last events before the stall, which is exactly the interleaving a
-	// deadlock post-mortem needs. The dump is always captured into the
-	// Result (so reports can embed it) and mirrored to DumpOnWatchdog
-	// when a sink is configured.
-	var flightDump string
-	if rootCtx.Err() != nil {
-		var buf strings.Builder
-		out := io.Writer(&buf)
-		if cfg.DumpOnWatchdog != nil {
-			out = io.MultiWriter(&buf, cfg.DumpOnWatchdog)
-		}
-		sys.DumpFlightRecorder(out)
-		flightDump = buf.String()
-	}
-	// Unblock the server if clients bailed out without completing the
-	// disconnect protocol (watchdog tripped), then tear the system down;
-	// Shutdown also spills any batched producer caches.
-	cancel()
-	served := <-serverDone
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		noteErr("shutdown: %v", err)
-	}
-	shutCancel()
-	// Lease-conservation audit: with every participant gone and the
-	// caches spilled, a clean cell must have returned every block.
-	if pool := sys.Blocks(); pool != nil && rootCtx.Err() == nil {
-		if leaked := int64(pool.Capacity()) - pool.TotalFree(); leaked != 0 {
-			noteErr("payload blocks leaked: %d", leaked)
-		}
-	}
+	c.joinClients()
+	c.teardown()
 
-	if !started {
-		start = time.Now()
-		serveEnd = start
-	}
-	dur := serveEnd.Sub(start)
-	if dur <= 0 {
-		dur = time.Nanosecond
-	}
-	total := int64(cfg.Clients * cfg.Msgs)
 	label := fmt.Sprintf("live/%s/%dc", cfg.Alg, cfg.Clients)
 	if cfg.PaySize > 0 {
 		mode := "zc"
@@ -487,32 +218,88 @@ func runLiveCtx(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, 
 		}
 		label = fmt.Sprintf("%s/p%d/%s", label, cfg.PaySize, mode)
 	}
-	res := Result{
-		Label:      label,
-		Throughput: float64(served) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(cfg.Msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  served,
-	}
-	if s, ok := ms.Find("server"); ok {
-		res.Server = s
-	}
-	res.Clients = ms.ByPrefix("client")
-	res.All = ms.Total()
-	res.Phase = phaseSnap(sys.Observer(), cfg.Alg)
-	res.FlightDump = flightDump
+	res := c.result(label, served, cfg.Msgs)
 	if cfg.PaySize > 0 {
 		res.PaySize, res.PayCopy = cfg.PaySize, cfg.PayCopy
-		res.BytesPerSec = float64(served*2*int64(cfg.PaySize)) / (float64(dur.Nanoseconds()) / 1e9)
+		res.BytesPerSec = float64(served*2*int64(cfg.PaySize)) / (float64(res.Duration) / 1e9)
 	}
+	if total := int64(cfg.Clients * cfg.Msgs); served != total {
+		c.noteErr("server served %d, want %d", served, total)
+	}
+	return res, c.err("live validation failed")
+}
 
-	if len(errs) > 0 {
-		return res, fmt.Errorf("workload: live validation failed: %v", errs)
+// liveClient is the legacy (error-less) closed-loop client: connect,
+// barrier, cfg.Msgs timed echoes, disconnect.
+func liveClient(c *cell, cfg LiveConfig, i int, cl *core.Client, barrier *sync.WaitGroup) {
+	if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
+		c.noteErr("client%d: bad connect reply %+v", i, ans)
 	}
-	if served != total {
-		return res, fmt.Errorf("workload: server served %d, want %d", served, total)
+	barrier.Done()
+	barrier.Wait()
+	c.noteStart()
+	for j := 0; j < cfg.Msgs; j++ {
+		if ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}); !echoed(ans, j) {
+			c.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+		}
 	}
-	return res, nil
+	cl.Send(core.Msg{Op: core.OpDisconnect})
+	livebind.DrainPort(cl.Srv)
+}
+
+// liveClientCtx is the watchdog variant: the same script on the
+// context-threaded paths, so a deadlocked cell trips the deadline
+// instead of hanging, with payload echoes when cfg.PaySize is set.
+func liveClientCtx(c *cell, cfg LiveConfig, i int, cl *core.Client, barrier *sync.WaitGroup) {
+	defer livebind.DrainPort(cl.Srv)
+	// Each client derives its own child context: cancellation still
+	// fans out from the root, but the per-message Err() polls hit a
+	// per-client mutex instead of contending on one shared context
+	// across every client goroutine.
+	ctx, cancel := context.WithCancel(c.ctx)
+	defer cancel()
+	ans, err := cl.SendCtx(ctx, core.Msg{Op: core.OpConnect})
+	if err != nil {
+		c.noteErr("client%d: connect: %v", i, err)
+		barrier.Done()
+		return
+	}
+	if ans.Op != core.OpConnect {
+		c.noteErr("client%d: bad connect reply %+v", i, ans)
+	}
+	barrier.Done()
+	barrier.Wait()
+	c.noteStart()
+	var pe *payEcho
+	if cfg.PaySize > 0 {
+		pe = &payEcho{cl: cl, size: cfg.PaySize}
+		if cfg.PayCopy {
+			pe.scratch = make([]byte, cfg.PaySize)
+		}
+		defer pe.close()
+	}
+	for j := 0; j < cfg.Msgs; j++ {
+		m := core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}
+		if pe != nil {
+			m.Op = core.OpWork
+			ans, err = pe.echo(ctx, m)
+		} else {
+			ans, err = cl.SendCtx(ctx, m)
+		}
+		if err != nil {
+			c.noteErr("client%d: send %d: %v", i, j, err)
+			return
+		}
+		if !echoed(ans, j) {
+			c.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+		}
+	}
+	if pe != nil {
+		pe.close()
+	}
+	if _, err := cl.SendCtx(ctx, core.Msg{Op: core.OpDisconnect}); err != nil {
+		c.noteErr("client%d: disconnect: %v", i, err)
+	}
 }
 
 // runLiveGroup is the server-group variant of RunLive: every shard runs
@@ -521,189 +308,72 @@ func runLiveCtx(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, 
 // connect/disconnect handshake — shard membership is static and work
 // stealing may carry a control op's bookkeeping to the wrong shard —
 // so shards exit on the Shutdown marker once every client is done.
-// Replies are validated as a per-batch multiset: stealing means another
-// shard may answer, and answers may interleave, but every client must
-// get exactly its own sequence set back.
-func runLiveGroup(cfg LiveConfig, sys *livebind.System, ms *metrics.Set) (Result, error) {
+// Replies are validated as a per-batch multiset (checkBatch).
+func runLiveGroup(cfg LiveConfig, sys *livebind.System) (Result, error) {
 	batch := cfg.Batch
 	if batch < 1 {
 		batch = 16
 	}
-	rootCtx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if cfg.Watchdog > 0 {
-		rootCtx, cancel = context.WithTimeout(rootCtx, cfg.Watchdog)
-	}
-	defer cancel()
-
-	var (
-		startMu sync.Mutex
-		started bool
-		start   time.Time
-		errsMu  sync.Mutex
-		errs    []string
-	)
-	noteStart := func() {
-		startMu.Lock()
-		if !started {
-			start = time.Now()
-			started = true
-		}
-		startMu.Unlock()
-	}
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-		errsMu.Unlock()
-	}
-
 	srvs, err := sys.ShardServers()
 	if err != nil {
 		return Result{}, err
 	}
+	cls, err := handles(cfg.Clients, sys.Client)
+	if err != nil {
+		return Result{}, err
+	}
+	c := newCell(sys, cfg.Alg, cfg.Clients, cfg.Watchdog)
+	c.dump = cfg.DumpOnWatchdog
 	var served atomic.Int64
-	var swg sync.WaitGroup
-	for _, srv := range srvs {
-		swg.Add(1)
-		go func(sv *core.Server) {
-			defer swg.Done()
+	for _, sv := range srvs {
+		c.server(func() {
 			if cfg.Watchdog > 0 {
-				n, err := sv.ServeBatchCtx(rootCtx, nil, batch)
+				n, err := sv.ServeBatchCtx(c.ctx, nil, batch)
 				if err != nil {
-					noteErr("shard: %v", err)
+					c.noteErr("shard: %v", err)
 				}
 				served.Add(n)
 				return
 			}
 			served.Add(sv.ServeBatch(nil, batch))
-		}(srv)
+		})
 	}
 
 	var barrier sync.WaitGroup
 	barrier.Add(cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			return Result{}, err
-		}
-		wg.Add(1)
-		go func(i int, cl *core.Client) {
-			defer wg.Done()
+	for i, cl := range cls {
+		c.client(func() {
 			barrier.Done()
 			barrier.Wait()
-			noteStart()
+			c.noteStart()
 			msgs := make([]core.Msg, 0, batch)
-			var seenBig map[int32]bool // only allocated for batches > 64
+			seen := make([]bool, batch)
 			for j := 0; j < cfg.Msgs; j += len(msgs) {
-				k := batch
-				if j+k > cfg.Msgs {
-					k = cfg.Msgs - j
-				}
-				msgs = msgs[:0]
-				for q := 0; q < k; q++ {
-					msgs = append(msgs, core.Msg{Op: core.OpEcho, Seq: int32(j + q), Val: float64(j + q)})
-				}
+				msgs = echoBatch(msgs, j, min(batch, cfg.Msgs-j))
 				var out []core.Msg
 				if cfg.Watchdog > 0 {
 					var err error
-					out, err = cl.SendBatchCtx(rootCtx, msgs)
+					out, err = cl.SendBatchCtx(c.ctx, msgs)
 					if err != nil {
-						noteErr("client%d: batch at %d: %v", i, j, err)
+						c.noteErr("client%d: batch at %d: %v", i, j, err)
 						return
 					}
 				} else {
 					out = cl.SendBatch(msgs)
 				}
-				if len(out) != k {
-					noteErr("client%d: batch at %d: %d replies, want %d", i, j, len(out), k)
+				if err := checkBatch(out, cl.ID, j, len(msgs), seen); err != nil {
+					c.noteErr("client%d: batch at %d: %v", i, j, err)
 					return
 				}
-				// Multiset check per batch: stolen work means replies may
-				// interleave across shards, but every sequence must appear
-				// exactly once. A bitmask keeps the check allocation-free
-				// on the hot path (batches ≤ 64).
-				var seen uint64
-				if k > 64 {
-					seenBig = make(map[int32]bool, k)
-				}
-				for _, m := range out {
-					if m.Client != cl.ID || m.Seq < int32(j) || m.Seq >= int32(j+k) ||
-						m.Val != float64(m.Seq) {
-						noteErr("client%d: bad reply %+v in batch at %d", i, m, j)
-						return
-					}
-					if k > 64 {
-						if seenBig[m.Seq] {
-							noteErr("client%d: duplicate reply %+v in batch at %d", i, m, j)
-							return
-						}
-						seenBig[m.Seq] = true
-						continue
-					}
-					bit := uint64(1) << uint(m.Seq-int32(j))
-					if seen&bit != 0 {
-						noteErr("client%d: duplicate reply %+v in batch at %d", i, m, j)
-						return
-					}
-					seen |= bit
-				}
 			}
-		}(i, cl)
+		})
 	}
-	wg.Wait()
-	end := time.Now()
+	c.joinClients()
+	c.teardown()
 
-	var flightDump string
-	if rootCtx.Err() != nil {
-		var buf strings.Builder
-		out := io.Writer(&buf)
-		if cfg.DumpOnWatchdog != nil {
-			out = io.MultiWriter(&buf, cfg.DumpOnWatchdog)
-		}
-		sys.DumpFlightRecorder(out)
-		flightDump = buf.String()
+	res := c.result(fmt.Sprintf("live/%s/%dc/%ds", cfg.Alg, cfg.Clients, cfg.Shards), served.Load(), cfg.Msgs)
+	if total := int64(cfg.Clients * cfg.Msgs); served.Load() != total {
+		c.noteErr("shards served %d, want %d", served.Load(), total)
 	}
-	// Shutdown releases the shard loops (they exit on the marker). The
-	// shards share rootCtx, so cancelling it before they drain would
-	// turn a clean exit into a spurious "context canceled" shard error;
-	// only cancel early if shutdown itself failed to release them.
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		noteErr("shutdown: %v", err)
-		cancel()
-	}
-	shutCancel()
-	swg.Wait()
-
-	if !started {
-		start = time.Now()
-		end = start
-	}
-	dur := end.Sub(start)
-	if dur <= 0 {
-		dur = time.Nanosecond
-	}
-	total := int64(cfg.Clients * cfg.Msgs)
-	res := Result{
-		Label:      fmt.Sprintf("live/%s/%dc/%ds", cfg.Alg, cfg.Clients, cfg.Shards),
-		Throughput: float64(served.Load()) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(cfg.Msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  served.Load(),
-	}
-	res.Clients = ms.ByPrefix("client")
-	res.All = ms.Total()
-	res.Phase = phaseSnap(sys.Observer(), cfg.Alg)
-	res.FlightDump = flightDump
-
-	if len(errs) > 0 {
-		return res, fmt.Errorf("workload: live group validation failed: %v", errs)
-	}
-	if served.Load() != total {
-		return res, fmt.Errorf("workload: shards served %d, want %d", served.Load(), total)
-	}
-	return res, nil
+	return res, c.err("live group validation failed")
 }

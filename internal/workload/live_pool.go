@@ -23,7 +23,6 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 	if cfg.SleepScale == 0 {
 		cfg.SleepScale = time.Millisecond
 	}
-	ms := metrics.NewSet()
 	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
 	sys, err := livebind.NewSystem(livebind.Options{
 		Alg:        cfg.Alg,
@@ -33,7 +32,7 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 		QueueKind:  cfg.QueueKind,
 		SpinIters:  cfg.SpinIters,
 		SleepScale: cfg.SleepScale,
-		Metrics:    ms,
+		Metrics:    metrics.NewSet(),
 	})
 	if err != nil {
 		return Result{}, err
@@ -42,85 +41,42 @@ func RunLivePool(cfg LiveConfig, workers int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-
-	var swg sync.WaitGroup
+	cls, err := handles(cfg.Clients, sys.PoolClient)
+	if err != nil {
+		return Result{}, err
+	}
+	c := newCell(sys, cfg.Alg, cfg.Clients, 0)
 	for _, w := range pool {
-		swg.Add(1)
-		go func(w *core.PoolWorker) {
-			defer swg.Done()
-			w.Serve(nil)
-		}(w)
+		c.server(func() { w.Serve(nil) })
 	}
-
-	var (
-		startMu sync.Mutex
-		started bool
-		start   time.Time
-		errsMu  sync.Mutex
-		errs    []string
-	)
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
-		}
-		errsMu.Unlock()
-	}
-
-	var barrier, wg sync.WaitGroup
+	var barrier sync.WaitGroup
 	barrier.Add(cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.PoolClient(i)
-		if err != nil {
-			return Result{}, err
-		}
-		wg.Add(1)
-		go func(i int, cl *core.PoolClient) {
-			defer wg.Done()
+	for i, cl := range cls {
+		c.client(func() {
 			if ans := cl.Send(core.Msg{Op: core.OpConnect}); ans.Op != core.OpConnect {
-				noteErr("client%d: bad connect reply %+v", i, ans)
+				c.noteErr("client%d: bad connect reply %+v", i, ans)
 			}
 			barrier.Done()
 			barrier.Wait()
-			startMu.Lock()
-			if !started {
-				start = time.Now()
-				started = true
-			}
-			startMu.Unlock()
+			c.noteStart()
 			for j := 0; j < cfg.Msgs; j++ {
-				ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)})
-				if ans.Seq != int32(j) || ans.Val != float64(j) {
-					noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
+				if ans := cl.Send(core.Msg{Op: core.OpEcho, Seq: int32(j), Val: float64(j)}); !echoed(ans, j) {
+					c.noteErr("client%d: reply mismatch at %d: %+v", i, j, ans)
 				}
 			}
 			cl.Send(core.Msg{Op: core.OpDisconnect})
-		}(i, cl)
+		})
 	}
-	wg.Wait()
-	swg.Wait()
-	end := time.Now()
+	c.joinClients()
+	c.swg.Wait() // the workers exit once every client has disconnected
+	c.end = time.Now()
+	c.teardown()
 
-	if len(errs) > 0 {
-		return Result{}, fmt.Errorf("workload: live pool validation failed: %v", errs)
+	served := pool[0].C.Served()
+	res := c.result(fmt.Sprintf("live-pool%d/%s/%dc", workers, cfg.Alg, cfg.Clients), served, cfg.Msgs)
+	res.Server = c.ms.ByPrefix("server")
+	if total := int64(cfg.Clients * cfg.Msgs); served != total {
+		c.noteErr("pool served %d, want %d", served, total)
 	}
-	total := int64(cfg.Clients * cfg.Msgs)
-	if served := pool[0].C.Served(); served != total {
-		return Result{}, fmt.Errorf("workload: pool served %d, want %d", served, total)
-	}
-	dur := end.Sub(start)
-	if dur <= 0 {
-		dur = time.Nanosecond
-	}
-	res := Result{
-		Label:      fmt.Sprintf("live-pool%d/%s/%dc", workers, cfg.Alg, cfg.Clients),
-		Throughput: float64(total) / (float64(dur.Nanoseconds()) / 1e6),
-		RTTMicros:  float64(dur.Nanoseconds()) / 1e3 / float64(cfg.Msgs),
-		Duration:   dur.Nanoseconds(),
-		TotalMsgs:  total,
-	}
-	res.Server = ms.ByPrefix("server")
-	res.Clients = ms.ByPrefix("client")
-	res.All = ms.Total()
-	return res, nil
+	return res, c.err("live pool validation failed")
 }

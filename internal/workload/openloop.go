@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
-	"sync"
 	"time"
 
 	"ulipc/internal/core"
 	"ulipc/internal/livebind"
 	"ulipc/internal/metrics"
+	"ulipc/internal/obs"
 )
 
 // The open-loop load generator (DESIGN.md §14). The closed-loop harness
@@ -174,18 +173,8 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return OpenLoopResult{}, err
 	}
-	blockSlots := 0
-	if cfg.PaySize > 0 {
-		blockSlots = cfg.Blocks
-		if blockSlots <= 0 {
-			blockSlots = 4 * (cfg.Clients + 1)
-			if blockSlots < 32 {
-				blockSlots = 32
-			}
-		}
-	}
+	slots := blockSlots(cfg.PaySize, cfg.Clients, cfg.Blocks)
 	maxSpin, _ := tuneFor(cfg.Alg, cfg.MaxSpin, 0)
-	ms := metrics.NewSet()
 	opts := livebind.Options{
 		Alg:        cfg.Alg,
 		MaxSpin:    maxSpin,
@@ -193,14 +182,14 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		QueueCap:   cfg.QueueCap,
 		SpinIters:  cfg.SpinIters,
 		SleepScale: cfg.SleepScale,
-		BlockSlots: blockSlots,
-		Metrics:    ms,
+		BlockSlots: slots,
+		Metrics:    metrics.NewSet(),
 		Admission: livebind.Admission{
 			HighWater:       cfg.HighWater,
 			RetryCap:        cfg.RetryCap,
 			QuarantineAfter: cfg.Quarantine,
 		},
-		CopyFallback: cfg.CopyFallback && blockSlots > 0,
+		CopyFallback: cfg.CopyFallback && slots > 0,
 	}
 	var (
 		sys *livebind.System
@@ -214,202 +203,101 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if err != nil {
 		return OpenLoopResult{}, err
 	}
-	return runOpenLoop(cfg, sys, ms)
+	return runOpenLoop(cfg, sys)
 }
 
 // olCounters is one client's tally; summed after the run.
 type olCounters struct {
 	offered, admitted, rejected, allocFails int64
 	completed, good, expired                int64
-	hist                                    latHist
+	lat                                     obs.Histogram // goodput latency
 }
 
-func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (OpenLoopResult, error) {
-	rootCtx, cancel := context.WithTimeout(context.Background(), cfg.Watchdog)
-	defer cancel()
-
-	var (
-		errsMu sync.Mutex
-		errs   []string
-	)
-	noteErr := func(format string, args ...any) {
-		errsMu.Lock()
-		if len(errs) < 8 {
-			errs = append(errs, fmt.Sprintf(format, args...))
+func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System) (OpenLoopResult, error) {
+	// Servers: one vectored ServeBatchCtx per shard, or the scalar
+	// ServeCtx; both run until Shutdown (no connect handshake — an
+	// overloaded client may never get a disconnect through, so teardown
+	// cannot depend on the connection protocol).
+	var srvs []*core.Server
+	if cfg.Shards > 0 {
+		var err error
+		if srvs, err = sys.ShardServers(); err != nil {
+			return OpenLoopResult{}, err
 		}
-		errsMu.Unlock()
+	} else {
+		srvs = []*core.Server{sys.Server()}
+	}
+	cls, err := handles(cfg.Clients, sys.Client)
+	if err != nil {
+		return OpenLoopResult{}, err
+	}
+	c := newCell(sys, cfg.Alg, cfg.Clients, cfg.Watchdog)
+	if cfg.Shards == 0 {
+		// The auditor frees teardown leftovers through the server's
+		// store, which also resolves heap-overflow refs.
+		c.store = srvs[0].Blocks
 	}
 
 	// One shared run epoch: deadlines stamped by clients and checked by
 	// the server's shed hook read the same clock.
 	epoch := time.Now()
 	nowNs := func() int64 { return time.Since(epoch).Nanoseconds() }
-	dlNs := cfg.Deadline.Nanoseconds()
-	shed := &core.ShedPolicy{
-		// Only the stamped request ops carry deadlines; control traffic
-		// (connect/disconnect, shutdown markers) is never shed.
-		Deadline: func(m core.Msg) (int64, bool) {
-			if m.Op != core.OpEcho && m.Op != core.OpWork {
-				return 0, false
+	shed := deadlineShed(nowNs)
+	for _, sv := range srvs {
+		sv.Shed = shed
+		c.server(func() {
+			var err error
+			if cfg.Shards > 0 {
+				_, err = sv.ServeBatchCtx(c.ctx, nil, cfg.Batch)
+			} else {
+				_, err = sv.ServeCtx(c.ctx, payWork(sv, cfg.PaySize, false))
 			}
-			return int64(m.Val), true
-		},
-		Now: nowNs,
+			if err != nil {
+				c.noteErr("server: %v", err)
+			}
+		})
 	}
 
-	// Servers: scalar ServeCtx or one vectored ServeBatchCtx per shard;
-	// both run until Shutdown (no connect handshake — an overloaded
-	// client may never get a disconnect through, so teardown cannot
-	// depend on the connection protocol).
-	var swg sync.WaitGroup
-	var srv0 *core.Server // scalar-mode server, kept for the teardown reclaim
-	if cfg.Shards > 0 {
-		srvs, err := sys.ShardServers()
-		if err != nil {
-			return OpenLoopResult{}, err
-		}
-		for _, srv := range srvs {
-			srv.Shed = shed
-			swg.Add(1)
-			go func(sv *core.Server) {
-				defer swg.Done()
-				if _, err := sv.ServeBatchCtx(rootCtx, nil, cfg.Batch); err != nil {
-					noteErr("shard: %v", err)
-				}
-			}(srv)
-		}
-	} else {
-		srv := sys.Server()
-		srv.Shed = shed
-		srv0 = srv
-		var work func(*core.Msg)
-		if cfg.PaySize > 0 {
-			// Zero-copy echo: claim the request lease, re-attach it to
-			// the reply. A lost claim (ErrPayloadLost) clears the ref.
-			work = func(m *core.Msg) {
-				p, err := srv.Payload(*m)
-				if err != nil {
-					m.ClearBlock()
-					return
-				}
-				m.AttachPayload(p)
-			}
-		}
-		swg.Add(1)
-		go func() {
-			defer swg.Done()
-			if _, err := srv.ServeCtx(rootCtx, work); err != nil {
-				noteErr("server: %v", err)
-			}
-		}()
-	}
-
-	durNs := cfg.Duration.Nanoseconds()
-	graceNs := cfg.Grace.Nanoseconds()
 	counts := make([]olCounters, cfg.Clients)
-	cls := make([]*core.Client, cfg.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := sys.Client(i)
-		if err != nil {
-			cancel()
-			swg.Wait()
-			return OpenLoopResult{}, err
-		}
-		cls[i] = cl
-		wg.Add(1)
-		go func(i int, cl *core.Client) {
-			defer wg.Done()
-			c := &counts[i]
-			cctx, ccancel := context.WithCancel(rootCtx)
-			defer ccancel()
-			openLoopClient(cctx, cfg, cl, c, i, nowNs, dlNs, durNs, graceNs, noteErr)
-		}(i, cl)
+	for i, cl := range cls {
+		c.client(func() {
+			ctx, cancel := context.WithCancel(c.ctx)
+			defer cancel()
+			openLoopClient(ctx, cfg, cl, &counts[i], i, nowNs, c.noteErr)
+		})
 	}
-	wg.Wait()
-
-	// Teardown before reading counters: Shutdown closes the request
-	// channels, the serve loops exit on ErrShutdown, and batched caches
-	// spill. Only cancel the root context if shutdown failed to release
-	// them (a premature cancel turns a clean shard exit into an error).
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	if err := sys.Shutdown(shutCtx); err != nil {
-		noteErr("shutdown: %v", err)
-		cancel()
-	}
-	shutCancel()
-	swg.Wait()
-	tripped := rootCtx.Err() != nil
-
-	// Teardown reclaim: the run ends on a wall-clock edge, not a drained
-	// system, so arrivals the server never dequeued are still in the
-	// request queue and replies sent after the collector's last drain sit
-	// in the reply queues — all holding live leases. Claim-and-free them
-	// (the shed path's discipline, applied at teardown) so the audit
-	// below measures protocol conservation, not the teardown cut line.
-	if cfg.PaySize > 0 && !tripped && srv0 != nil {
-		for {
-			m, ok := srv0.Rcv.TryDequeue()
-			if !ok {
-				break
-			}
-			if m.HasBlock() {
-				if p, err := srv0.Payload(m); err == nil {
-					_ = p.Release()
-				}
-			}
-		}
-		for _, cl := range cls {
-			for {
-				m, ok := cl.Rcv.TryDequeue()
-				if !ok {
-					break
-				}
-				if m.HasBlock() {
-					if p, err := cl.Payload(m); err == nil {
-						_ = p.Release()
-					}
-				}
-			}
-		}
-	}
-
-	// Lease-conservation audit: every payload block allocated during the
-	// run must be back — released by the collector, claim-freed by a
-	// shed, or freed on a rejected send. Skipped if the watchdog tripped
-	// (stranded participants legitimately hold leases then).
-	if pool := sys.Blocks(); pool != nil && !tripped {
-		if leaked := int64(pool.Capacity()) - pool.TotalFree(); leaked != 0 {
-			noteErr("payload blocks leaked: %d", leaked)
-		}
-		if fb := sys.FallbackLive(); fb != 0 {
-			noteErr("fallback blocks leaked: %d", fb)
-		}
-	}
+	// The run ends on a wall-clock edge, not a drained system: arrivals
+	// the server never dequeued and replies sent after a collector's
+	// last drain are still queued, holding live leases. The auditor
+	// claim-frees them (the shed path's discipline, applied at
+	// teardown) before its lease audit, which therefore measures
+	// protocol conservation, not the teardown cut line.
+	c.joinClients()
+	c.teardown()
 
 	res := OpenLoopResult{Duration: cfg.Duration}
-	var hist latHist
+	var lat obs.HistSnapshot
 	for i := range counts {
-		c := &counts[i]
-		res.Offered += c.offered
-		res.Admitted += c.admitted
-		res.Rejected += c.rejected
-		res.AllocFails += c.allocFails
-		res.Completed += c.completed
-		res.Good += c.good
-		res.Expired += c.expired
-		hist.merge(&c.hist)
+		n := &counts[i]
+		res.Offered += n.offered
+		res.Admitted += n.admitted
+		res.Rejected += n.rejected
+		res.AllocFails += n.allocFails
+		res.Completed += n.completed
+		res.Good += n.good
+		res.Expired += n.expired
+		lat.Merge(n.lat.Snapshot())
 	}
 	res.Unanswered = res.Admitted - res.Completed
 	secs := cfg.Duration.Seconds()
 	res.OfferedPerSec = float64(res.Offered) / secs
 	res.GoodputPerSec = float64(res.Good) / secs
-	res.P50Ns = hist.quantile(0.50)
-	res.P95Ns = hist.quantile(0.95)
-	res.P99Ns = hist.quantile(0.99)
-	res.MaxNs = float64(hist.max)
-	res.All = ms.Total()
-	res.Clients = ms.ByPrefix("client")
+	res.P50Ns = lat.Quantile(0.50)
+	res.P95Ns = lat.Quantile(0.95)
+	res.P99Ns = lat.Quantile(0.99)
+	res.MaxNs = float64(lat.Max)
+	res.All = c.ms.Total()
+	res.Clients = c.ms.ByPrefix("client")
 	res.Label = fmt.Sprintf("openloop/%s/%dc", cfg.Alg, cfg.Clients)
 	if cfg.Shards > 0 {
 		res.Label += fmt.Sprintf("/%ds", cfg.Shards)
@@ -417,40 +305,22 @@ func runOpenLoop(cfg OpenLoopConfig, sys *livebind.System, ms *metrics.Set) (Ope
 	if cfg.Burst {
 		res.Label += "/burst"
 	}
-
-	if tripped {
-		noteErr("watchdog tripped after %v", cfg.Watchdog)
+	if c.tripped {
+		c.noteErr("watchdog tripped after %v", cfg.Watchdog)
 	}
-	if len(errs) > 0 {
-		return res, fmt.Errorf("workload: open loop failed: %v", errs)
-	}
-	return res, nil
+	return res, c.err("open loop failed")
 }
 
 // openLoopClient is one client's generate-and-collect loop.
 func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c *olCounters,
-	id int, nowNs func() int64, dlNs, durNs, graceNs int64, noteErr func(string, ...any)) {
+	id int, nowNs func() int64, noteErr func(string, ...any)) {
+	dlNs, durNs := cfg.Deadline.Nanoseconds(), cfg.Duration.Nanoseconds()
 	// Prime the collector awake: the reply-side producer's TASAwake
 	// always sees true, so no wake tokens accumulate while replies are
 	// drained by polling (see the package comment above).
 	cl.Rcv.SetAwake(true)
-
 	drain := func() int {
-		n := 0
-		for {
-			m, ok := cl.Rcv.TryDequeue()
-			if !ok {
-				return n
-			}
-			n++
-			if m.Op != core.OpEcho && m.Op != core.OpWork {
-				continue // shutdown marker or stray control op
-			}
-			if m.HasBlock() {
-				if p, err := cl.Payload(m); err == nil {
-					_ = p.Release()
-				}
-			}
+		return collect(cl, func(m core.Msg) {
 			c.completed++
 			now := nowNs()
 			dl := int64(m.Val)
@@ -461,8 +331,32 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 				}
 			} else {
 				c.good++
-				c.hist.add(now - (dl - dlNs))
+				c.lat.Record(time.Duration(now - (dl - dlNs)))
 			}
+		})
+	}
+
+	// send never blocks for longer than one drain window without
+	// draining. A collector that stops draining while its send waits on
+	// a full request queue deadlocks the cell: its reply queue fills
+	// behind the blocked send, the server naps in Reply against it and
+	// stops dequeuing, and the request slot the send waits for is one
+	// only that server could free. Draining before each send is not
+	// enough — the request queue plus the request the server holds can
+	// owe this client one reply more than its reply queue holds.
+	win, stop := context.WithTimeout(ctx, cfg.SleepScale)
+	defer func() { stop() }()
+	send := func(m core.Msg) error {
+		for {
+			if win.Err() != nil {
+				stop()
+				win, stop = context.WithTimeout(ctx, cfg.SleepScale)
+			}
+			err := cl.SendAsyncCtx(win, m)
+			if err == nil || ctx.Err() != nil || !errors.Is(err, context.DeadlineExceeded) {
+				return err
+			}
+			drain()
 		}
 	}
 
@@ -503,46 +397,20 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 				runtime.Gosched()
 			}
 		}
-		// Drain before every send, even when behind schedule. A collector
-		// that only drains while ahead can deadlock a generator that has
-		// fallen permanently behind: its reply queue fills, the server
-		// naps in Reply against it and stops dequeuing, the request queue
-		// fills, and the next blocking send then waits on queue space only
-		// the napping server could free. Draining here caps the reply
-		// backlog below the window the server can refill while one send
-		// blocks, which breaks the cycle.
+		// Drain before every send, even when behind schedule, so the
+		// reply backlog stays short while the generator catches up.
 		drain()
 		c.offered++
 		seq++
-		m := core.Msg{Op: core.OpEcho, Seq: seq, Val: float64(nowNs() + dlNs)}
-		var payRef uint32
-		hasPay := false
-		if cfg.PaySize > 0 {
-			p, err := cl.AllocPayload(cfg.PaySize)
-			if err != nil {
-				// Exhausted arena without fallback: the arrival is lost
-				// at the allocator, the open-loop analogue of a reject.
-				c.allocFails++
-				next += expNs(&rng, perNs)
-				continue
-			}
-			m.Op = core.OpWork
-			payRef, hasPay = p.Ref(), true
-			m.AttachPayload(p)
-		}
-		switch err := cl.SendAsyncCtx(ctx, m); {
+		allocated, err := offer(cl, core.Msg{Op: core.OpEcho, Seq: seq, Val: float64(nowNs() + dlNs)}, cfg.PaySize, send)
+		switch {
+		case !allocated:
+			c.allocFails++
 		case err == nil:
 			c.admitted++
 		case errors.Is(err, core.ErrOverload):
 			c.rejected++
-			if hasPay {
-				// Never enqueued: the lease is still ours — return it.
-				_ = cl.Blocks.Free(payRef)
-			}
 		default:
-			if hasPay {
-				_ = cl.Blocks.Free(payRef)
-			}
 			if ctx.Err() == nil {
 				noteErr("client%d: send: %v", id, err)
 			}
@@ -550,38 +418,88 @@ func openLoopClient(ctx context.Context, cfg OpenLoopConfig, cl *core.Client, c 
 		}
 		next += expNs(&rng, perNs)
 	}
+	// The grace window opens when this client stops sending, not at the
+	// end of the arrival window: a generator that fell behind schedule
+	// finishes past durNs, and leaving at once would strand its queued
+	// backlog.
+	graceDrain(ctx, cl, drain, 8*cfg.SleepScale, nowNs, max(durNs, nowNs())+cfg.Grace.Nanoseconds())
+	drain()
+}
 
-	// Grace drain: collect the backlog's replies until the request queue
-	// is empty and nothing has arrived for a settle window longer than
-	// the reply producer's backoff ceiling (8 scaled "seconds"), so a
-	// server napping against this client's momentarily-full reply queue
-	// still gets its retry in before the collector leaves. The grace
-	// window opens when this client stops sending, not at the end of the
-	// arrival window: a generator that fell behind schedule finishes past
-	// durNs, and leaving at once would strand its queued backlog.
-	depth := func() int {
-		if d, ok := cl.Srv.(core.DepthPort); ok {
-			return d.Depth()
+// offer sends one open-loop request through send. With paySize > 0 the
+// request rides a fresh payload lease, returned to the arena if the
+// request never reaches the queue; allocated is false when the arena
+// had no block (the arrival is lost at the allocator, the open-loop
+// analogue of a reject).
+func offer(cl *core.Client, m core.Msg, paySize int, send func(core.Msg) error) (allocated bool, err error) {
+	if paySize > 0 {
+		p, err := cl.AllocPayload(paySize)
+		if err != nil {
+			return false, nil
 		}
-		return 0
+		m.Op = core.OpWork
+		m.AttachPayload(p)
 	}
-	settle := 8*cfg.SleepScale.Nanoseconds() + 4_000_000
-	hardEnd := max(durNs, nowNs()) + graceNs
-	quietSince := int64(-1)
-	for ctx.Err() == nil && nowNs() < hardEnd {
-		if drain() > 0 || depth() > 0 {
-			quietSince = -1
-		} else {
-			now := nowNs()
-			if quietSince < 0 {
-				quietSince = now
-			} else if now-quietSince > settle {
-				break
+	if err = send(m); err != nil && m.HasBlock() {
+		ref, _ := m.Block()
+		_ = cl.Blocks.Free(ref) // never enqueued: the lease is still ours
+	}
+	return true, err
+}
+
+// collect drains a polling collector's reply queue: each reply's
+// payload lease is released and every echo is passed to got, while
+// control ops (the shutdown marker) are skipped. It returns how many
+// messages it dequeued.
+func collect(cl *core.Client, got func(core.Msg)) int {
+	n := 0
+	for {
+		m, ok := cl.Rcv.TryDequeue()
+		if !ok {
+			return n
+		}
+		n++
+		if m.Op != core.OpEcho && m.Op != core.OpWork {
+			continue
+		}
+		if m.HasBlock() {
+			if p, err := cl.Payload(m); err == nil {
+				_ = p.Release()
 			}
+		}
+		got(m)
+	}
+}
+
+// graceDrain collects a client's backlog after its last send: it keeps
+// draining until the request queue is empty and no reply has arrived
+// for longer than backoff (the reply producer's nap ceiling) plus a
+// margin, so a server napping against this client's momentarily-full
+// reply queue still gets its retry in before the client leaves. It
+// also stops at hardEnd (on now's clock; 0 means none) or when ctx
+// ends.
+func graceDrain(ctx context.Context, cl *core.Client, drain func() int, backoff time.Duration, now func() int64, hardEnd int64) {
+	settle := backoff.Nanoseconds() + 4_000_000
+	quietSince := int64(-1)
+	for ctx.Err() == nil && (hardEnd == 0 || now() < hardEnd) {
+		if drain() > 0 || depth(cl) > 0 {
+			quietSince = -1
+		} else if t := now(); quietSince < 0 {
+			quietSince = t
+		} else if t-quietSince > settle {
+			return
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	drain()
+}
+
+// depth is a client's view of its request queue's backlog (0 when the
+// port cannot tell).
+func depth(cl *core.Client) int {
+	if d, ok := cl.Srv.(core.DepthPort); ok {
+		return d.Depth()
+	}
+	return 0
 }
 
 // expNs draws an exponential interarrival gap (ns) for the given
@@ -604,69 +522,4 @@ func expNs(s *uint64, perNs float64) int64 {
 		d = 1e9 // one-second ceiling keeps a tiny rate from stalling the loop
 	}
 	return int64(d)
-}
-
-// latHist is a log2 histogram with 4 sub-buckets per octave — ~12%
-// relative error on the reported quantiles, fixed 2KB footprint, no
-// allocation on the hot path.
-type latHist struct {
-	count   int64
-	max     int64
-	buckets [256]int64
-}
-
-func (h *latHist) add(ns int64) {
-	if ns < 1 {
-		ns = 1
-	}
-	if ns > h.max {
-		h.max = ns
-	}
-	b := bits.Len64(uint64(ns)) // 1..63
-	sub := 0
-	if b >= 3 {
-		sub = int((uint64(ns) >> uint(b-3)) & 3)
-	}
-	idx := (b-1)*4 + sub
-	if idx > 255 {
-		idx = 255
-	}
-	h.buckets[idx]++
-	h.count++
-}
-
-func (h *latHist) merge(o *latHist) {
-	h.count += o.count
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-}
-
-// quantile returns the q-quantile's bucket midpoint in nanoseconds.
-func (h *latHist) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var cum int64
-	for i, cnt := range h.buckets {
-		cum += cnt
-		if cum > target {
-			b := i/4 + 1
-			sub := int64(i % 4)
-			lo := int64(1) << uint(b-1)
-			if b >= 3 {
-				lo |= sub << uint(b-3)
-				return float64(lo + int64(1)<<uint(b-3)/2)
-			}
-			return float64(lo)
-		}
-	}
-	return float64(h.max)
 }

@@ -146,38 +146,6 @@ func TestOpenLoopGroupQuarantine(t *testing.T) {
 	}
 }
 
-// TestLatHist sanity-checks the log2 histogram's quantiles: the
-// reported value must bracket the true quantile within one sub-bucket
-// (~12% relative error, by construction).
-func TestLatHist(t *testing.T) {
-	var h latHist
-	for i := int64(1); i <= 10_000; i++ {
-		h.add(i)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{{0.50, 5000}, {0.95, 9500}, {0.99, 9900}} {
-		got := h.quantile(tc.q)
-		if got < tc.want*0.85 || got > tc.want*1.15 {
-			t.Errorf("quantile(%g) = %g, want within 15%% of %g", tc.q, got, tc.want)
-		}
-	}
-	if h.max != 10_000 {
-		t.Errorf("max = %d, want 10000", h.max)
-	}
-	var m latHist
-	m.merge(&h)
-	m.merge(&h)
-	if m.count != 2*h.count || m.quantile(0.5) != h.quantile(0.5) {
-		t.Errorf("merge changed the distribution: %g vs %g", m.quantile(0.5), h.quantile(0.5))
-	}
-	var empty latHist
-	if empty.quantile(0.5) != 0 {
-		t.Errorf("empty histogram quantile should be 0")
-	}
-}
-
 // TestExpNs: the exponential sampler's mean must track 1/rate, and the
 // stream must be deterministic for a fixed seed.
 func TestExpNs(t *testing.T) {
@@ -198,5 +166,33 @@ func TestExpNs(t *testing.T) {
 	}
 	if a, b := expNs(&s2, perNs), expNs(&s2, perNs); a == b {
 		t.Errorf("consecutive draws identical (%d): rng not advancing", a)
+	}
+}
+
+// TestOpenLoopFullQueuesNoStall pins the collector's side of the
+// two-queue cycle: with no admission control and queues a few messages
+// deep, a generator far behind schedule keeps blocking in sends against
+// a full request queue. If it stops draining while blocked, its reply
+// queue fills, the server naps in Reply against it, and the request
+// slot the send waits for never frees — the cell stalls until the
+// watchdog. Draining at least once per nap window keeps it moving.
+func TestOpenLoopFullQueuesNoStall(t *testing.T) {
+	for _, qc := range []int{2, 4} {
+		res, err := RunOpenLoop(OpenLoopConfig{
+			Alg:      core.BSW,
+			Clients:  2,
+			Rate:     200_000,
+			Duration: 20 * time.Millisecond,
+			Deadline: 50 * time.Millisecond,
+			QueueCap: qc,
+			Seed:     3,
+			Watchdog: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("queue cap %d: %v", qc, err)
+		}
+		if res.Offered != res.Admitted+res.Rejected+res.AllocFails {
+			t.Errorf("queue cap %d: load-balance identity broken: %+v", qc, res)
+		}
 	}
 }

@@ -102,14 +102,7 @@ func (c *ProcConfig) defaults() error {
 		// probes lie still converges well inside the watchdog.
 		c.Lease = 750 * time.Millisecond
 	}
-	if c.PaySize > 0 && c.Blocks <= 0 {
-		// Enough slots per class that every client can hold a request and
-		// a reply block simultaneously, with headroom for in-flight ones.
-		c.Blocks = 4 * (c.Clients + 1)
-		if c.Blocks < 32 {
-			c.Blocks = 32
-		}
-	}
+	c.Blocks = blockSlots(c.PaySize, c.Clients, c.Blocks)
 	if c.Exe == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -137,6 +130,25 @@ type procWireCfg struct {
 	WatchdogNs  int64  `json:"watchdog_ns"`
 	PaySize     int    `json:"pay_size,omitempty"`
 	PayCopy     bool   `json:"pay_copy,omitempty"`
+}
+
+// wire is the parent→worker configuration of cfg's workers.
+func (c ProcConfig) wire() procWireCfg {
+	return procWireCfg{
+		Alg:         c.Alg.String(),
+		Clients:     c.Clients,
+		Msgs:        c.Msgs,
+		MaxSpin:     c.MaxSpin,
+		SpinIters:   c.SpinIters,
+		SleepNs:     int64(c.SleepScale),
+		WaitNs:      int64(c.WaitSlice),
+		HeartbeatNs: int64(c.HeartbeatEvery),
+		SweepNs:     int64(c.SweepEvery),
+		LeaseNs:     int64(c.Lease),
+		WatchdogNs:  int64(c.Watchdog),
+		PaySize:     c.PaySize,
+		PayCopy:     c.PayCopy,
+	}
 }
 
 // procWorkerResult is the worker→parent report: one JSON line on
@@ -531,23 +543,85 @@ type ProcResult struct {
 	Clients     []ProcClientResult
 }
 
-// sumProcMetrics folds a worker's counters into the cell total.
-func sumProcMetrics(all *metrics.Snapshot, s metrics.Snapshot) {
-	all.Yields += s.Yields
-	all.SemP += s.SemP
-	all.SemV += s.SemV
-	all.Blocks += s.Blocks
-	all.Wakeups += s.Wakeups
-	all.Sleeps += s.Sleeps
-	all.Timeouts += s.Timeouts
-	all.Cancels += s.Cancels
-	all.PeerDeaths += s.PeerDeaths
-	all.OrphanMsgs += s.OrphanMsgs
-	all.OrphanBlocks += s.OrphanBlocks
-	all.WakeRescues += s.WakeRescues
-	all.BlockRefills += s.BlockRefills
-	all.BlockSpills += s.BlockSpills
-	all.BlockFails += s.BlockFails
+// procCell is the parent side of one cross-process cell: the memfd
+// segment and the spawned server and client workers.
+type procCell struct {
+	seg     *shm.Seg
+	segFile *os.File
+	server  *procWorker
+	clients []*procWorker
+}
+
+// startProcCell creates the segment and spawns the server and one
+// worker per client; a failed spawn kills the workers already started.
+func startProcCell(cfg ProcConfig, name string) (*procCell, error) {
+	seg, segFile, err := shm.CreateMemfdSeg(name, shm.SegConfig{
+		Clients: cfg.Clients, Nodes: cfg.Nodes, RingCap: cfg.RingCap,
+		Blocks: cfg.Blocks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p := &procCell{seg: seg, segFile: segFile}
+	wire := cfg.wire()
+	if p.server, err = spawnProcWorker(cfg.Exe, procRoleServer, wire, segFile); err != nil {
+		p.close()
+		return nil, err
+	}
+	for i := 0; i < cfg.Clients; i++ {
+		cw := wire
+		cw.ClientID = i
+		w, err := spawnProcWorker(cfg.Exe, procRoleClient, cw, segFile)
+		if err != nil {
+			p.server.kill()
+			for _, c := range p.clients {
+				c.kill()
+			}
+			p.close()
+			return nil, err
+		}
+		p.clients = append(p.clients, w)
+	}
+	return p, nil
+}
+
+func (p *procCell) close() {
+	p.seg.Close()
+	p.segFile.Close()
+}
+
+// segAudit is the cross-process auditor's tally.
+type segAudit struct {
+	orphanMsgs, orphanRefs, orphanBlocks int   // returned by the reclaim walk
+	poolLeaked, blockLeaked              int64 // still missing after it
+}
+
+// audit checks, with every worker gone (the parent has exclusive
+// access), that the segment accounts for every node ref and every arena
+// block. reclaim first runs the post-mortem repair: a SIGKILLed
+// participant strands refs only the reclaim walk can return.
+func (p *procCell) audit(reclaim bool) (segAudit, error) {
+	var a segAudit
+	v, err := p.seg.View()
+	if err != nil {
+		return a, err
+	}
+	var errs []error
+	after := "clean run"
+	if reclaim {
+		after = "reclaim"
+		a.orphanMsgs, a.orphanRefs, a.orphanBlocks, err = v.Reclaim()
+		errs = append(errs, err)
+	}
+	if a.poolLeaked = int64(v.Config().Nodes) - v.Pool.FreeCount(); a.poolLeaked != 0 {
+		errs = append(errs, fmt.Errorf("pool leaked %d refs after %s", a.poolLeaked, after))
+	}
+	if v.Blocks != nil {
+		if a.blockLeaked = int64(v.Blocks.Capacity()) - v.Blocks.TotalFree(); a.blockLeaked != 0 {
+			errs = append(errs, fmt.Errorf("payload arena leaked %d blocks after %s", a.blockLeaked, after))
+		}
+	}
+	return a, errors.Join(errs...)
 }
 
 // RunProcCell runs one clean cross-process cell: one server process,
@@ -561,54 +635,17 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 	if cfg.Msgs <= 0 {
 		cfg.Msgs = 1000
 	}
-	seg, segFile, err := shm.CreateMemfdSeg("ulipc-proc", shm.SegConfig{
-		Clients: cfg.Clients, Nodes: cfg.Nodes, RingCap: cfg.RingCap,
-		Blocks: cfg.Blocks,
-	})
+	p, err := startProcCell(cfg, "ulipc-proc")
 	if err != nil {
 		return nil, err
 	}
-	defer seg.Close()
-	defer segFile.Close()
-
-	wire := procWireCfg{
-		Alg:         cfg.Alg.String(),
-		Clients:     cfg.Clients,
-		Msgs:        cfg.Msgs,
-		MaxSpin:     cfg.MaxSpin,
-		SpinIters:   cfg.SpinIters,
-		SleepNs:     int64(cfg.SleepScale),
-		WaitNs:      int64(cfg.WaitSlice),
-		HeartbeatNs: int64(cfg.HeartbeatEvery),
-		SweepNs:     int64(cfg.SweepEvery),
-		LeaseNs:     int64(cfg.Lease),
-		WatchdogNs:  int64(cfg.Watchdog),
-		PaySize:     cfg.PaySize,
-		PayCopy:     cfg.PayCopy,
-	}
-	server, err := spawnProcWorker(cfg.Exe, procRoleServer, wire, segFile)
-	if err != nil {
-		return nil, err
-	}
-	clients := make([]*procWorker, cfg.Clients)
-	for i := range clients {
-		cw := wire
-		cw.ClientID = i
-		clients[i], err = spawnProcWorker(cfg.Exe, procRoleClient, cw, segFile)
-		if err != nil {
-			server.kill()
-			for _, c := range clients[:i] {
-				c.kill()
-			}
-			return nil, err
-		}
-	}
+	defer p.close()
 
 	res := &ProcResult{}
 	var failures []error
 	deadline := cfg.Watchdog + 10*time.Second
 	var maxElapsed int64
-	for i, c := range clients {
+	for i, c := range p.clients {
 		r, err := c.wait(deadline)
 		if err != nil {
 			failures = append(failures, fmt.Errorf("client %d: %w", i, err))
@@ -617,23 +654,21 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 		}
 		res.Backend = r.Backend
 		res.Sent += r.Sent
-		if r.ElapsedNs > maxElapsed {
-			maxElapsed = r.ElapsedNs
-		}
-		sumProcMetrics(&res.All, r.Metrics)
+		maxElapsed = max(maxElapsed, r.ElapsedNs)
+		res.All.Add(r.Metrics)
 		res.Clients = append(res.Clients, ProcClientResult{
 			ID: i, Sent: r.Sent, ElapsedNs: r.ElapsedNs,
 			PeerDead: r.PeerDead, Hung: r.Hung, Err: r.Err,
 		})
 	}
-	sr, err := server.wait(deadline)
+	sr, err := p.server.wait(deadline)
 	if err != nil {
 		failures = append(failures, fmt.Errorf("server: %w", err))
 	} else if sr.Err != "" {
 		failures = append(failures, fmt.Errorf("server: %s", sr.Err))
 	}
 	res.Served = sr.Served
-	sumProcMetrics(&res.All, sr.Metrics)
+	res.All.Add(sr.Metrics)
 
 	res.PaySize, res.PayCopy = cfg.PaySize, cfg.PayCopy
 	if maxElapsed > 0 {
@@ -645,21 +680,11 @@ func RunProcCell(cfg ProcConfig) (*ProcResult, error) {
 				(float64(maxElapsed) / 1e9)
 		}
 	}
-	v, verr := seg.View()
-	if verr == nil {
-		if leaked := int64(v.Config().Nodes) - v.Pool.FreeCount(); leaked != 0 {
-			res.PoolLeaked = leaked
-			failures = append(failures, fmt.Errorf("pool leaked %d refs after clean run", leaked))
-		}
-		if v.Blocks != nil {
-			if leaked := int64(v.Blocks.Capacity()) - v.Blocks.TotalFree(); leaked != 0 {
-				res.BlockLeaked = leaked
-				failures = append(failures, fmt.Errorf("payload arena leaked %d blocks after clean run", leaked))
-			}
-		}
-	}
+	a, err := p.audit(false)
+	res.PoolLeaked, res.BlockLeaked = a.poolLeaked, a.blockLeaked
+	failures = append(failures, err)
 	want := int64(cfg.Clients) * int64(cfg.Msgs)
-	if len(failures) == 0 && (res.Sent != want || res.Served != want) {
+	if errors.Join(failures...) == nil && (res.Sent != want || res.Served != want) {
 		failures = append(failures, fmt.Errorf("message count mismatch: sent %d served %d want %d", res.Sent, res.Served, want))
 	}
 	return res, errors.Join(failures...)
@@ -719,57 +744,20 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 		PaySize:     cfg.PaySize,
 	}
 
-	seg, segFile, err := shm.CreateMemfdSeg("ulipc-chaos", shm.SegConfig{
-		Clients: cfg.Clients, Nodes: cfg.Nodes, RingCap: cfg.RingCap,
-		Blocks: cfg.Blocks,
-	})
+	p, err := startProcCell(cfg, "ulipc-chaos")
 	if err != nil {
 		return out, err
 	}
-	defer seg.Close()
-	defer segFile.Close()
-
-	wire := procWireCfg{
-		Alg:         cfg.Alg.String(),
-		Clients:     cfg.Clients,
-		Msgs:        0,
-		MaxSpin:     cfg.MaxSpin,
-		SpinIters:   cfg.SpinIters,
-		SleepNs:     int64(cfg.SleepScale),
-		WaitNs:      int64(cfg.WaitSlice),
-		HeartbeatNs: int64(cfg.HeartbeatEvery),
-		SweepNs:     int64(cfg.SweepEvery),
-		LeaseNs:     int64(cfg.Lease),
-		WatchdogNs:  int64(cfg.Watchdog),
-		PaySize:     cfg.PaySize,
-		PayCopy:     cfg.PayCopy,
-	}
-	server, err := spawnProcWorker(cfg.Exe, procRoleServer, wire, segFile)
-	if err != nil {
-		return out, err
-	}
-	clients := make([]*procWorker, cfg.Clients)
-	for i := range clients {
-		cw := wire
-		cw.ClientID = i
-		clients[i], err = spawnProcWorker(cfg.Exe, procRoleClient, cw, segFile)
-		if err != nil {
-			server.kill()
-			for _, c := range clients[:i] {
-				c.kill()
-			}
-			return out, err
-		}
-	}
+	defer p.close()
 
 	// Let traffic flow, then murder the server mid-exchange. kill()
 	// also reaps, so survivors' pid probes see ESRCH immediately.
 	time.Sleep(killAfter)
-	server.kill()
+	p.server.kill()
 
 	var failures []error
 	deadline := cfg.Watchdog + 10*time.Second
-	for i, c := range clients {
+	for i, c := range p.clients {
 		r, err := c.wait(deadline)
 		if err != nil {
 			out.Hung++
@@ -800,28 +788,11 @@ func RunProcChaosKill(cfg ProcConfig) (ProcChaosResult, error) {
 		}
 	}
 
-	// Post-mortem audit: every process is gone, so the parent has
-	// exclusive access. The segment must account for every ref.
-	v, verr := seg.View()
-	if verr != nil {
-		failures = append(failures, verr)
-	} else {
-		msgs, refs, blocks, rerr := v.Reclaim()
-		out.OrphanMsgs, out.OrphanRefs, out.OrphanBlocks = int64(msgs), int64(refs), int64(blocks)
-		if rerr != nil {
-			failures = append(failures, rerr)
-		}
-		if leaked := int64(v.Config().Nodes) - v.Pool.FreeCount(); leaked != 0 {
-			out.PoolLeaked = leaked
-			failures = append(failures, fmt.Errorf("pool leaked %d refs after reclaim", leaked))
-		}
-		if v.Blocks != nil {
-			if leaked := int64(v.Blocks.Capacity()) - v.Blocks.TotalFree(); leaked != 0 {
-				out.BlockLeaked = leaked
-				failures = append(failures, fmt.Errorf("payload arena leaked %d blocks after reclaim", leaked))
-			}
-		}
-	}
+	// Post-mortem audit: every process is gone.
+	a, err := p.audit(true)
+	out.OrphanMsgs, out.OrphanRefs, out.OrphanBlocks = int64(a.orphanMsgs), int64(a.orphanRefs), int64(a.orphanBlocks)
+	out.PoolLeaked, out.BlockLeaked = a.poolLeaked, a.blockLeaked
+	failures = append(failures, err)
 	err = errors.Join(failures...)
 	if err != nil {
 		out.Error = err.Error()

@@ -208,22 +208,16 @@ func spawnBackground(k *sim.Kernel, cfg Config, stop *atomic.Bool) {
 
 // recorder collects the timing anchors of the paper's methodology.
 type recorder struct {
+	errList
 	firstReq sim.Time // earliest first-request timestamp over all clients
 	lastDone sim.Time // server time when the last client disconnected
 	started  bool
-	errs     []string
 }
 
 func (r *recorder) noteStart(t sim.Time) {
 	if !r.started || t < r.firstReq {
 		r.firstReq = t
 		r.started = true
-	}
-}
-
-func (r *recorder) noteErr(format string, args ...any) {
-	if len(r.errs) < 8 {
-		r.errs = append(r.errs, fmt.Sprintf(format, args...))
 	}
 }
 
