@@ -11,9 +11,10 @@ import (
 
 // Real futex backend: FUTEX_WAIT/FUTEX_WAKE on a 32-bit word in shared
 // memory. This is the only sleep/wake primitive that crosses address
-// spaces — sync.Cond and channels are process-local, but a futex word in
-// a MAP_SHARED page parks a thread in one process and lets a V from
-// another process wake it with a single syscall.
+// spaces — the in-process Semaphore's channel hand-off is
+// process-local, but a futex word in a MAP_SHARED page parks a thread
+// in one process and lets a V from another process wake it with a
+// single syscall.
 //
 // The shared (non-PRIVATE) futex opcodes are used deliberately: the
 // PRIVATE variants skip the cross-process hash lookup and would silently

@@ -14,8 +14,9 @@ import (
 )
 
 // Cross-process binding: core.Client/core.Server running over a mapped
-// shm.Seg, with futex-backed semaphores (ProcSem) instead of sync.Cond
-// and a process-granular lifetable instead of the goroutine one.
+// shm.Seg, with futex-backed semaphores (ProcSem) instead of the
+// in-process waiting-array Semaphore and a process-granular lifetable
+// instead of the goroutine one.
 //
 // Topology. The segment carries one SPSC request lane and one SPSC
 // reply lane per client. The server's receive endpoint round-robins

@@ -301,18 +301,17 @@ func TestProcBSANapStretch(t *testing.T) {
 }
 
 // The Actor's counters tick identically whichever semaphore its table
-// holds: P, V, PCtx and SleepCtx over the in-process Semaphore (both
-// wait disciplines) and over the cross-process ProcSem.
+// holds: P, V, PCtx and SleepCtx over the in-process Semaphore and over
+// the cross-process ProcSem.
 func TestActorCountersAcrossSemaphores(t *testing.T) {
 	type table struct {
 		name   string
 		sem    semaphore
 		parked func() bool // a plain P is asleep on the semaphore
 	}
-	cond, warray, proc := NewSemaphore(0), NewWaitArraySemaphore(0), newTestSem(t)
+	local, proc := NewSemaphore(0), newTestSem(t)
 	tables := []table{
-		{"Semaphore", cond, func() bool { return cond.Sleeping() == 1 }},
-		{"WaitArraySemaphore", warray, func() bool { return warray.Sleeping() == 1 }},
+		{"Semaphore", local, func() bool { return local.Sleeping() == 1 }},
 		{"ProcSem", proc, func() bool { return proc.Waiters() == 1 }},
 	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))

@@ -11,62 +11,66 @@ import (
 // while the count is zero; V increments the count or wakes one waiter.
 // Like the kernel primitive, V never yields the caller.
 //
-// Two kinds of waiter coexist:
+// It is a semaphore augmented with a waiting array: every waiter —
+// plain P or cancellable PCtx — parks on its own hand-off slot in one
+// FIFO ring, and V pops the oldest live slot and hands the token
+// DIRECTLY to that waiter (one channel send, one goroutine made
+// runnable, no herd racing for the count), skipping and recycling
+// cancelled holes as it walks. Cancel marks the waiter's own slot in
+// place, O(1), leaving a hole for V or the compactor to absorb.
 //
-//   - Plain P parks on a sync.Cond and races for the count — the cheap,
-//     allocation-free path the legacy (error-less) protocols pay on
-//     every blocking round trip.
-//   - PCtx parks on an explicit waiter list so the wait can be
-//     cancelled with exact token accounting: V hands its token DIRECTLY
-//     to the first listed waiter (marking it granted), and a waiter
-//     cancelled after being granted hands the token back — to the next
-//     listed waiter, or to the count (waking a cond sleeper). A
-//     cancelled wait therefore never consumes a token, and a token
-//     destined for a live waiter is never lost to a cancelled one. This
-//     is the property the protocol layer's wake-token accounting
-//     (core.consumerWaitCtx) builds on.
+// Token conservation: a token is either in the count or in exactly one
+// granted slot, a cancelled wait never consumes one, and a waiter
+// cancelled after being granted hands its token back — to the next
+// live slot, else to the count. This is the property the protocol
+// layer's wake-token accounting (core.consumerWaitCtx) builds on, and
+// the one internal/protomodel's WArrayCheck verifies exhaustively.
 //
-// A third shape is available as an opt-in mode (NewWaitArraySemaphore):
-// a waiting array where EVERY waiter — plain or cancellable — parks on
-// its own per-waiter slot and V hands the token directly to the oldest
-// live slot. See semarray.go for the mode's invariants.
+// Slots are pooled: a slot is signalled at most once per park, and it
+// returns to the pool only after that signal has been received (or it
+// was never signalled), so a grant from a previous life can never leak
+// into the next waiter's park, and a park allocates nothing in steady
+// state.
 type Semaphore struct {
-	mu       sync.Mutex
-	cond     sync.Cond // plain P sleepers
-	count    int64
-	closed   bool
-	sleeping int64        // plain P calls currently parked in cond.Wait
-	waiters  []*semWaiter // parked PCtx calls, granted in FIFO order
-	wa       *waitArray   // non-nil switches to waiting-array mode
+	mu     sync.Mutex
+	count  int64
+	closed bool
+	ring   []*waSlot // ring[head:] is the FIFO of parked waiters
+	head   int
+	holes  int // cancelled slots still inside ring[head:]
+	npctx  int // parked cancellable waiters (Waiters())
+	nplain int // parked plain-P waiters (Sleeping())
+	pool   sync.Pool
 }
 
-// semWaiter is one parked PCtx call. granted is guarded by the
-// semaphore mutex and is valid once ready is closed.
-type semWaiter struct {
-	ready   chan struct{}
-	granted bool
+// waSlot states, guarded by the owning Semaphore's mutex.
+const (
+	waWaiting   int8 = iota // parked, in the ring
+	waGranted               // V/hand-back delivered a token
+	waCancelled             // waiter gave up; slot is a hole in the ring
+	waClosed                // Close released the waiter without a token
+)
+
+// waSlot is one parked waiter's private hand-off cell. State
+// transitions happen under the semaphore lock before the one send on
+// the channel, so a waiter that receives can trust the state it then
+// reads. The channel has capacity 1, so the send never blocks: V makes
+// it after releasing the lock, Close while holding it.
+type waSlot struct {
+	ch    chan struct{}
+	state int8
+	pctx  bool // cancellable (PCtx) waiter, for the diagnostics split
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
 func NewSemaphore(initial int64) *Semaphore {
-	s := &Semaphore{count: initial}
-	s.cond.L = &s.mu
-	return s
+	return &Semaphore{count: initial}
 }
 
-// NewWaitArraySemaphore creates a semaphore in waiting-array mode:
-// per-waiter hand-off slots instead of the cond/slice pair, giving O(1)
-// V and O(1) cancellation with no wake-up herd. Same external
-// semantics and the same token-conservation guarantees.
-func NewWaitArraySemaphore(initial int64) *Semaphore {
-	s := NewSemaphore(initial)
-	s.wa = newWaitArray()
-	return s
-}
-
-// WaitArray reports whether the semaphore runs in waiting-array mode
-// (diagnostics and tests).
-func (s *Semaphore) WaitArray() bool { return s.wa != nil }
+// NewWaitArraySemaphore is NewSemaphore.
+//
+// Deprecated: every Semaphore is a waiting array; use NewSemaphore.
+func NewWaitArraySemaphore(initial int64) *Semaphore { return NewSemaphore(initial) }
 
 // P (down) decrements the count, blocking while it is zero. On a closed
 // semaphore P returns immediately without consuming a token, so parked
@@ -76,20 +80,7 @@ func (s *Semaphore) WaitArray() bool { return s.wa != nil }
 // the binding can attribute sleep time without extra clock reads on the
 // non-blocking path.
 func (s *Semaphore) P() (slept bool) {
-	if s.wa != nil {
-		return s.pArray()
-	}
-	s.mu.Lock()
-	for s.count == 0 && !s.closed {
-		slept = true
-		s.sleeping++
-		s.cond.Wait()
-		s.sleeping--
-	}
-	if !s.closed {
-		s.count--
-	}
-	s.mu.Unlock()
+	slept, _ = s.wait(context.Background(), false)
 	return slept
 }
 
@@ -99,9 +90,14 @@ func (s *Semaphore) P() (slept bool) {
 // back); and core.ErrShutdown when the semaphore was closed. Like P,
 // slept reports whether the call actually parked.
 func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
-	if s.wa != nil {
-		return s.pCtxArray(ctx)
-	}
+	return s.wait(ctx, true)
+}
+
+// wait is the one park path behind P and PCtx: take a token from the
+// count, else park a slot and wait for a direct hand-off, Close, or
+// (only when ctx can be cancelled) the cancellation. pctx tags the slot
+// for the Waiters/Sleeping split.
+func (s *Semaphore) wait(ctx context.Context, pctx bool) (slept bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -116,111 +112,195 @@ func (s *Semaphore) PCtx(ctx context.Context) (slept bool, err error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	w := &semWaiter{ready: make(chan struct{})}
-	s.waiters = append(s.waiters, w)
+	w := s.getSlot(pctx)
+	s.pushLocked(w)
 	s.mu.Unlock()
 
-	select {
-	case <-w.ready:
-		s.mu.Lock()
-		granted := w.granted
-		s.mu.Unlock()
-		if granted {
-			return true, nil
+	if done := ctx.Done(); done == nil {
+		<-w.ch
+	} else {
+		select {
+		case <-w.ch:
+		case <-done:
+			s.cancel(w)
+			return true, ctx.Err()
 		}
-		return true, core.ErrShutdown // woken by Close
-	case <-ctx.Done():
-		s.mu.Lock()
-		if w.granted {
-			// A V (or Close) won the race and the grant channel is closed
-			// or closing. Hand the token back so it is not lost: to the
-			// next waiter if any, otherwise to the count.
-			s.handBackLocked()
-		} else {
-			s.removeWaiterLocked(w)
-		}
-		s.mu.Unlock()
-		return true, ctx.Err()
 	}
+	// The send happened after the state was set, so the state is ours
+	// to read without the lock.
+	closed := w.state == waClosed
+	s.pool.Put(w)
+	if closed {
+		return true, core.ErrShutdown
+	}
+	return true, nil
 }
 
-// handBackLocked re-issues a token whose grantee was cancelled; the
-// caller holds s.mu.
-func (s *Semaphore) handBackLocked() {
-	if len(s.waiters) > 0 {
-		next := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		next.granted = true
-		close(next.ready)
+// cancel resolves a parked wait whose context ended. A grant that raced
+// the cancellation is handed back so the token is never lost.
+func (s *Semaphore) cancel(w *waSlot) {
+	s.mu.Lock()
+	if w.state == waWaiting {
+		// Still parked: become a hole. The slot stays in the ring until
+		// V, Close or the compactor absorbs it.
+		s.cancelLocked(w)
+		s.mu.Unlock()
 		return
 	}
-	s.count++
-	s.cond.Signal() // a plain P may be sleeping on the count
-}
-
-// removeWaiterLocked unlinks a cancelled waiter; the caller holds s.mu.
-// The waiter may already be gone (Close drained the list).
-func (s *Semaphore) removeWaiterLocked(w *semWaiter) {
-	for i, cand := range s.waiters {
-		if cand == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
+	// A V, hand-back or Close won the race and pulled the slot from the
+	// ring. A grant's token is re-issued; a close carried none.
+	var next *waSlot
+	if w.state == waGranted {
+		next = s.grantLocked()
 	}
+	s.mu.Unlock()
+	if next != nil {
+		next.ch <- struct{}{}
+	}
+	<-w.ch // the winner's send is committed; take it before recycling
+	s.pool.Put(w)
 }
 
-// V (up) hands a token to the first listed (cancellable) waiter, or
-// increments the count and signals a plain P sleeper. Vs on a closed
-// semaphore are dropped (every waiter has already been released and no
-// new ones arrive). The return value reports whether the V plausibly
-// woke a sleeper — it granted a parked cancellable waiter, or a plain P
-// was asleep when the count was bumped (the paper's "expensive wake-up
-// system call" as opposed to a redundant V).
+// V (up) hands a token directly to the oldest live waiter, or
+// increments the count when nobody is parked. Vs on a closed semaphore
+// are dropped (every waiter has already been released and no new ones
+// arrive). The return value reports whether the V woke a sleeper (the
+// paper's "expensive wake-up system call" as opposed to a redundant V).
 func (s *Semaphore) V() (woke bool) {
-	if s.wa != nil {
-		return s.vArray()
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false
 	}
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.granted = true
-		s.mu.Unlock()
-		close(w.ready)
-		return true
+	w := s.grantLocked()
+	s.mu.Unlock()
+	if w == nil {
+		return false
+	}
+	w.ch <- struct{}{} // outside the lock: the wake-up does not lengthen it
+	return true
+}
+
+// grantLocked delivers one token: to the oldest live waiter, whose slot
+// it returns for the caller to signal once s.mu is released, else to the
+// count (nil). Caller holds s.mu.
+func (s *Semaphore) grantLocked() *waSlot {
+	if w := s.popLocked(); w != nil {
+		w.state = waGranted
+		return w
 	}
 	s.count++
-	woke = s.sleeping > 0
-	s.mu.Unlock()
-	s.cond.Signal()
-	return woke
+	return nil
 }
 
 // Close releases every parked waiter without granting tokens and makes
 // all subsequent P calls non-blocking (PCtx returns core.ErrShutdown).
 // Idempotent.
 func (s *Semaphore) Close() {
-	if s.wa != nil {
-		s.closeArray()
-		return
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	ws := s.waiters
-	s.waiters = nil
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, w := range ws {
-		close(w.ready)
+	for w := s.popLocked(); w != nil; w = s.popLocked() {
+		w.state = waClosed
+		w.ch <- struct{}{}
 	}
+}
+
+// getSlot takes a slot from the pool (or allocates) and resets it for a
+// fresh park.
+func (s *Semaphore) getSlot(pctx bool) *waSlot {
+	if v := s.pool.Get(); v != nil {
+		w := v.(*waSlot)
+		w.state = waWaiting
+		w.pctx = pctx
+		return w
+	}
+	return &waSlot{ch: make(chan struct{}, 1), pctx: pctx}
+}
+
+// pushLocked appends a parked waiter; caller holds s.mu.
+func (s *Semaphore) pushLocked(w *waSlot) {
+	s.ring = append(s.ring, w)
+	if w.pctx {
+		s.npctx++
+	} else {
+		s.nplain++
+	}
+}
+
+// popLocked removes and returns the oldest live waiter, absorbing (and
+// recycling) cancelled holes on the way. Returns nil if no live waiter
+// is parked. Caller holds s.mu.
+//
+// Once the consumed prefix ring[:head] is at least half the slice, the
+// active region is copied down to the front. Each copy moves at most
+// head slots, each paid for by one pop, so the cost stays amortised
+// O(1) and the ring stays under twice its active region however long
+// waiters keep overlapping.
+func (s *Semaphore) popLocked() *waSlot {
+	for s.head < len(s.ring) {
+		w := s.ring[s.head]
+		s.ring[s.head] = nil
+		s.head++
+		if s.head == len(s.ring) {
+			// The common one-waiter case: nothing to move or clear.
+			s.ring, s.head = s.ring[:0], 0
+		} else if 2*s.head >= len(s.ring) {
+			n := copy(s.ring, s.ring[s.head:])
+			clear(s.ring[n:])
+			s.ring, s.head = s.ring[:n], 0
+		}
+		if w.state == waCancelled {
+			s.holes--
+			s.pool.Put(w) // a hole was never signalled
+			continue
+		}
+		if w.pctx {
+			s.npctx--
+		} else {
+			s.nplain--
+		}
+		return w
+	}
+	return nil
+}
+
+// cancelLocked turns a parked waiter's slot into a hole in place, O(1).
+// When holes dominate the active region the ring is compacted, keeping
+// the amortised cost constant even under cancel storms with no V
+// traffic to absorb the holes. Caller holds s.mu.
+func (s *Semaphore) cancelLocked(w *waSlot) {
+	w.state = waCancelled
+	s.holes++
+	if w.pctx {
+		s.npctx--
+	} else {
+		s.nplain--
+	}
+	if s.holes > 16 && s.holes*2 > len(s.ring)-s.head {
+		s.compactLocked()
+	}
+}
+
+// compactLocked rewrites the ring with only live waiters, recycling the
+// holes. Caller holds s.mu. The in-place copy is safe: the write index
+// never overtakes the read index.
+func (s *Semaphore) compactLocked() {
+	live := s.ring[:0]
+	for _, w := range s.ring[s.head:] {
+		if w.state == waCancelled {
+			s.holes--
+			s.pool.Put(w) // a hole was never signalled
+			continue
+		}
+		live = append(live, w)
+	}
+	clear(s.ring[len(live):])
+	s.ring = live
+	s.head = 0
 }
 
 // Closed reports whether the semaphore has been closed (diagnostics).
@@ -242,10 +322,7 @@ func (s *Semaphore) Count() int64 {
 func (s *Semaphore) Waiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wa != nil {
-		return s.wa.npctx
-	}
-	return len(s.waiters)
+	return s.npctx
 }
 
 // Sleeping returns the number of plain P calls currently parked
@@ -254,8 +331,5 @@ func (s *Semaphore) Waiters() int {
 func (s *Semaphore) Sleeping() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wa != nil {
-		return int64(s.wa.nplain)
-	}
-	return s.sleeping
+	return int64(s.nplain)
 }

@@ -901,12 +901,6 @@ func (s *System) DuplexPair(i int) (*core.DuplexClient, *core.DuplexHandler, err
 }
 
 func (s *System) addSem(c *Channel) {
-	if s.opts.Alg == core.BSA {
-		// BSA channels park on the waiting-array semaphore: per-waiter
-		// hand-off slots, O(1) V and cancellation, no cond convoy. The
-		// swap happens before any endpoint exists, so no waiter is lost.
-		c.sem = NewWaitArraySemaphore(0)
-	}
 	c.id = core.SemID(len(s.sems))
 	s.sems = append(s.sems, c.sem)
 }

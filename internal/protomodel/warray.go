@@ -1,6 +1,8 @@
-// Waiting-array model: exhaustive interleaving checking for the
-// livebind waiting-array semaphore under the cancellable consumer wait
-// (core.consumerWaitCtx) — the BSA parking path.
+// Waiting-array model: exhaustive interleaving checking for
+// livebind.Semaphore, the waiting-array semaphore every in-process
+// channel parks on, under the cancellable consumer wait
+// (core.consumerWaitCtx). The MaxCancels: 0 configurations cover the
+// plain-P parking path.
 //
 // The real semaphore guards every operation with one mutex, so each
 // operation (fast-path P, park, V's hole-skip + direct grant, cancel's
@@ -213,7 +215,7 @@ func (c *wchecker) stepConsumer(s wstate) (wstate, string, bool) {
 		return s, "C tas(awake)", true
 
 	case wDrainP:
-		// Claim the pending redundant V. In waiting-array mode a count
+		// Claim the pending redundant V. On the waiting array a count
 		// of zero means the producer has not issued it yet; the claim
 		// would park and be granted directly — same observable step.
 		if s.sem > 0 {
@@ -329,7 +331,7 @@ func (c *wchecker) afterConsume(consumed int8) int8 {
 }
 
 // stepWProducer executes producer i's enabled step: the TAS+V
-// discipline with V replaced by the waiting-array vArray — direct
+// discipline with V replaced by the waiting array's V — direct
 // grant to a parked slot, else a count credit.
 func (c *wchecker) stepWProducer(s wstate, i int) (wstate, string, bool) {
 	name := func(step string) string { return fmt.Sprintf("P%d.%s", i+1, step) }
